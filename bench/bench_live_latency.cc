@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "core/sharded_engine.h"
 #include "exp/telemetry.h"
 #include "live/ingest_ring.h"
 #include "live/orchestrator.h"
@@ -54,8 +55,8 @@ struct LiveRun
 /** Admission loop over a started producer; joins it via the closer. */
 template <typename Producer>
 LiveRun
-consume(core::Engine &engine, live::IngestRing &ring, Producer &producer,
-        live::ProducerStats &producer_stats,
+consume(core::ShardedEngine &engine, live::IngestRing &ring,
+        Producer &producer, live::ProducerStats &producer_stats,
         const live::OrchestratorOptions &options)
 {
     engine.beginLive();
@@ -69,16 +70,19 @@ consume(core::Engine &engine, live::IngestRing &ring, Producer &producer,
     run.stats = live::runLive(engine, ring, done, options);
     closer.join();
     run.backpressure = producer_stats.backpressure.load();
-    (void)engine.finish(); // runLive already closed the stream
+    (void)engine.finish(nullptr); // runLive already closed the stream
     return run;
 }
 
-core::Engine
+/** A one-cell engine: the pass-through shape every live caller runs. */
+core::ShardedEngine
 makeEngine(trace::TraceView workload, const std::string &policy)
 {
-    const core::EngineConfig config = defaultConfig();
-    return core::Engine(workload, config,
-                        policies::makePolicy(policy, config));
+    return core::ShardedEngine(
+        workload, defaultConfig(),
+        [policy](const core::EngineConfig &cell_config) {
+            return policies::makePolicy(policy, cell_config);
+        });
 }
 
 } // namespace
@@ -127,7 +131,7 @@ main(int argc, char **argv)
 
     LiveRun synth_run;
     {
-        core::Engine engine = makeEngine(view, "ttl");
+        core::ShardedEngine engine = makeEngine(view, "ttl");
         live::IngestRing ring(1 << 16);
         live::ProducerStats producer_stats;
         live::SyntheticOptions synth;
@@ -161,7 +165,7 @@ main(int argc, char **argv)
                                 "max_ns", "mean_ns", "admit_per_sec"});
     std::vector<LiveRun> runs;
     for (const std::string &policy : policies) {
-        core::Engine engine = makeEngine(view, policy);
+        core::ShardedEngine engine = makeEngine(view, policy);
         live::IngestRing ring(1 << 16);
         live::ProducerStats producer_stats;
         live::TracePacer pacer(view, ring, producer_stats, {});

@@ -12,19 +12,13 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <thread>
-#include <vector>
 
 #include "core/engine.h"
-#include "core/sharded_engine.h"
 #include "policies/keepalive/cip.h"
 #include "policies/registry.h"
-#include "sim/epoch_barrier.h"
 #include "sim/rng.h"
-#include "sim/thread_pool.h"
 #include "stats/sliding_window.h"
 #include "trace/generators.h"
 
@@ -205,94 +199,6 @@ BENCHMARK_CAPTURE(BM_PolicyEventCost, ttl, "ttl")
 BENCHMARK_CAPTURE(BM_PolicyEventCost, faascache, "faascache")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PolicyEventCost, cidre, "cidre")
-    ->Unit(benchmark::kMillisecond);
-
-/**
- * Barrier cost of one lockstep epoch across N parties: each iteration
- * is TWO crossings, exactly the per-epoch barrier bill of the sharded
- * engine's resident teams (plan-ready crossing + plan-published
- * crossing).  N-1 persistent helper threads cross in lockstep with the
- * timed thread; at Arg(1) a crossing degenerates to two atomic ops, so
- * that row is the no-contention baseline.
- *
- * The stop flag is read *between* the two crossings of a round — the
- * same discipline the engine uses for its epoch plan — so every party
- * agrees on which round is the last and nobody abandons a crossing the
- * others are waiting at (checking after a single crossing would race:
- * a helper could see the flag before the timed thread's final arrival
- * and leave it stranded).
- */
-void
-BM_EpochBarrier(benchmark::State &state)
-{
-    const unsigned parties = static_cast<unsigned>(state.range(0));
-    sim::EpochBarrier barrier(parties);
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> helpers;
-    for (unsigned t = 1; t < parties; ++t) {
-        helpers.emplace_back([&barrier, &stop] {
-            sim::EpochBarrier::Waiter waiter;
-            while (true) {
-                barrier.arriveAndWait(waiter);
-                const bool last_round =
-                    stop.load(std::memory_order_acquire);
-                barrier.arriveAndWait(waiter);
-                if (last_round)
-                    break;
-            }
-        });
-    }
-    sim::EpochBarrier::Waiter waiter;
-    for (auto _ : state) {
-        barrier.arriveAndWait(waiter);
-        barrier.arriveAndWait(waiter);
-    }
-    // One terminating round: the flag is set before its first crossing,
-    // so every helper reads it in the same round and exits together.
-    stop.store(true, std::memory_order_release);
-    barrier.arriveAndWait(waiter);
-    barrier.arriveAndWait(waiter);
-    for (std::thread &helper : helpers)
-        helper.join();
-}
-BENCHMARK(BM_EpochBarrier)->Arg(1)->Arg(2)->Arg(4);
-
-/**
- * Whole-trial throughput of the resident-team stepped execution as the
- * epoch target shrinks: smaller targets mean more barrier crossings and
- * leader planning passes per simulated event, so the events/s spread
- * across Arg values is pure epoch overhead.  Arg(0) is the one-shot
- * (no-epoch) baseline.  Results are bit-identical across all rows —
- * test_sharded pins that — so this measures wall clock only.
- */
-void
-BM_ShardEpochOverhead(benchmark::State &state)
-{
-    static const trace::Trace workload = smallWorkload();
-    core::EngineConfig config;
-    config.cluster.workers = 4;
-    config.cluster.total_memory_mb = 8 * 1024;
-    config.shard_cells = 4;
-    sim::ThreadPool pool(2);
-    core::ShardExecOptions exec;
-    exec.epoch_events = static_cast<std::uint64_t>(state.range(0));
-    std::uint64_t events = 0;
-    for (auto _ : state) {
-        core::ShardedEngine engine(
-            workload, config, [](const core::EngineConfig &cell_config) {
-                return policies::makePolicy("cidre", cell_config);
-            });
-        const core::RunMetrics m = engine.run(&pool, exec);
-        events += engine.eventsExecuted();
-        benchmark::DoNotOptimize(m.total());
-    }
-    state.counters["events/s"] = benchmark::Counter(
-        static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ShardEpochOverhead)
-    ->Arg(0)
-    ->Arg(256)
-    ->Arg(1 << 15)
     ->Unit(benchmark::kMillisecond);
 
 /** Whole-engine event throughput over a small workload. */

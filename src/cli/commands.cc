@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -17,7 +16,6 @@
 #include "analysis/opportunity.h"
 #include "analysis/tradeoff.h"
 #include "core/checkpoint.h"
-#include "core/engine.h"
 #include "core/metrics_io.h"
 #include "core/sharded_engine.h"
 #include "exp/runner.h"
@@ -140,8 +138,6 @@ const std::vector<OptionSpec> kSweepSpecs = {
                     " --cells > 1)", "1"},
     {"pin", "mode", "shard-worker CPU pinning: auto|off|physical"
                     " (results-neutral)", "auto"},
-    {"epoch-events", "n", "target events per lockstep epoch in sharded"
-                          " trials (results-neutral; 0 = one-shot)", "0"},
     {"progress", "", "per-trial telemetry on stderr", ""},
 };
 
@@ -159,8 +155,6 @@ runnerOptions(const Options &options, std::ostream &err)
     runner.shards = static_cast<unsigned>(options.getInt("shards", 1));
     runner.progress = options.getFlag("progress") ? &err : nullptr;
     runner.pin = sim::parsePinMode(options.getString("pin", "auto"));
-    runner.epoch_events = static_cast<std::uint64_t>(
-        options.getInt("epoch-events", 0));
     return runner;
 }
 
@@ -258,13 +252,22 @@ appendEngineSpecs(std::vector<OptionSpec> &specs)
     specs.insert(specs.end(), kEngineSpecs.begin(), kEngineSpecs.end());
 }
 
+/** Policy factory over the registry: every cell gets a fresh bundle. */
+core::ShardedEngine::PolicyFactory
+registryPolicy(const std::string &policy)
+{
+    return [policy](const core::EngineConfig &cell_config) {
+        return policies::makePolicy(policy, cell_config);
+    };
+}
+
 // ---- stepped replay (out-of-core streaming + checkpoint/restore) --------
 
 /**
  * The `run` knobs that switch from one-shot execution to the stepped
  * driver: windowed streaming replay, periodic checkpoints, resume and
  * early stop.  All of them are results-neutral — the stepped loop's
- * epoch boundaries never change metrics (pinned by the golden tests),
+ * step boundaries never change metrics (pinned by the golden tests),
  * so a resumed run is bit-identical to an uninterrupted one.
  */
 struct SteppedKnobs
@@ -323,10 +326,6 @@ struct SteppedOutcome
     core::RunMetrics metrics;
 };
 
-/** Engine-kind byte of the CLI checkpoint payload preamble. */
-constexpr std::uint8_t kCkptEngineSingle = 0;
-constexpr std::uint8_t kCkptEngineSharded = 1;
-
 /**
  * Run one trial through the stepped driver.  The loop steps the engine
  * to the next enabled boundary — window advice, periodic checkpoint,
@@ -335,9 +334,10 @@ constexpr std::uint8_t kCkptEngineSharded = 1;
  * boundaries the uninterrupted run would have.
  */
 SteppedOutcome
-runSteppedTrial(const SteppedKnobs &knobs, const std::string &policy,
-                const core::EngineConfig &config, const Workload &workload,
-                const exp::RunnerOptions &runner_options, std::ostream &err)
+driveSteppedTrial(const SteppedKnobs &knobs, const std::string &policy,
+                  const core::EngineConfig &config, const Workload &workload,
+                  const exp::RunnerOptions &runner_options,
+                  std::ostream &err)
 {
     const trace::TraceView view = workload.view();
     const std::uint64_t fingerprint =
@@ -349,27 +349,20 @@ runSteppedTrial(const SteppedKnobs &knobs, const std::string &policy,
     if (knobs.stream_window > 0 && workload.image)
         window.emplace(*workload.image, knobs.stream_window);
 
-    const bool sharded = config.shard_cells > 1;
-    const std::uint8_t kind =
-        sharded ? kCkptEngineSharded : kCkptEngineSingle;
+    core::ShardedEngine engine(view, config, registryPolicy(policy));
 
-    // Restore preamble: driver simulated time, then the engine kind.
-    // The fingerprint already pins shard_cells; the kind byte keeps the
-    // payload self-describing.
+    // Restore preamble: the driver's simulated time, then the engine
+    // state.  The fingerprint pins shard_cells, so the cell count in
+    // the engine state always matches this configuration.
     sim::SimTime start_time = 0;
-    std::vector<std::byte> resume_payload;
-    std::optional<sim::StateReader> reader;
-    if (!knobs.resume_path.empty()) {
-        resume_payload =
+    if (knobs.resume_path.empty()) {
+        engine.begin();
+    } else {
+        const std::vector<std::byte> payload =
             core::readCheckpointFile(knobs.resume_path, fingerprint);
-        reader.emplace(resume_payload);
-        start_time =
-            static_cast<sim::SimTime>(reader->get<std::uint64_t>());
-        if (reader->get<std::uint8_t>() != kind) {
-            throw std::runtime_error(
-                "run: checkpoint engine kind does not match this"
-                " configuration");
-        }
+        sim::StateReader reader(payload);
+        start_time = static_cast<sim::SimTime>(reader.get<std::uint64_t>());
+        engine.loadState(reader);
     }
     if (knobs.stop_at > 0 && knobs.stop_at <= start_time) {
         throw std::invalid_argument(
@@ -377,51 +370,14 @@ runSteppedTrial(const SteppedKnobs &knobs, const std::string &policy,
     }
 
     std::optional<sim::ThreadPool> pool;
-    sim::ThreadPool *pool_ptr = nullptr;
-    const unsigned shards = std::max(1u, runner_options.shards);
-    if (sharded && shards > 1) {
-        pool.emplace(sim::ThreadPoolOptions{
-            shards, runner_options.spin_iterations, {}});
-        pool_ptr = &*pool;
-    }
-
-    // One loop drives both engine shapes through these callbacks.
-    std::optional<core::Engine> single;
-    std::optional<core::ShardedEngine> cells;
-    std::function<void(sim::SimTime)> step;
-    std::function<core::RunMetrics()> finish;
-    std::function<bool()> drained;
-    std::function<void(sim::StateWriter &)> save;
-    if (sharded) {
-        cells.emplace(view, config,
-                      [&policy](const core::EngineConfig &cell_config) {
-                          return policies::makePolicy(policy, cell_config);
-                      });
-        if (reader)
-            cells->loadState(*reader);
-        else
-            cells->begin();
-        step = [&](sim::SimTime t) { cells->stepUntil(t, pool_ptr); };
-        finish = [&]() { return cells->finish(pool_ptr); };
-        drained = [&]() { return cells->drained(); };
-        save = [&](sim::StateWriter &w) { cells->saveState(w); };
-    } else {
-        single.emplace(view, config, policies::makePolicy(policy, config));
-        if (reader)
-            single->loadState(*reader);
-        else
-            single->begin();
-        step = [&](sim::SimTime t) { single->stepUntil(t); };
-        finish = [&]() { return single->finish(); };
-        drained = [&]() { return single->drained(); };
-        save = [&](sim::StateWriter &w) { single->saveState(w); };
-    }
+    if (config.shard_cells > 1 && runner_options.shards > 1)
+        pool.emplace(runner_options.shards);
+    sim::ThreadPool *pool_ptr = pool ? &*pool : nullptr;
 
     const auto writeCkpt = [&](sim::SimTime now) {
         sim::StateWriter writer;
         writer.put<std::uint64_t>(static_cast<std::uint64_t>(now));
-        writer.put<std::uint8_t>(kind);
-        save(writer);
+        engine.saveState(writer);
         core::writeCheckpointFile(knobs.checkpoint_path, fingerprint,
                                   writer.release());
         err << "checkpoint @ " << sim::toSec(now) << " s -> "
@@ -448,7 +404,7 @@ runSteppedTrial(const SteppedKnobs &knobs, const std::string &policy,
             target = std::min(target, knobs.stop_at);
         if (target == sim::kTimeInfinity)
             break; // no cadence left: drain in one shot below
-        step(target);
+        engine.stepUntil(target, pool_ptr);
         if (window && target >= next_window) {
             window->advanceTo(target);
             next_window += knobs.stream_window;
@@ -464,11 +420,11 @@ runSteppedTrial(const SteppedKnobs &knobs, const std::string &policy,
             outcome.stop_time = target;
             return outcome;
         }
-        if (drained())
+        if (engine.drained())
             break;
     }
     SteppedOutcome outcome;
-    outcome.metrics = finish();
+    outcome.metrics = engine.finish(pool_ptr);
     return outcome;
 }
 
@@ -827,7 +783,7 @@ runSimulate(const Options &options, std::ostream &out, std::ostream &err)
                 " gather the columns out of arrival order, so a windowed"
                 " cursor cannot bound their residency)");
         }
-        const SteppedOutcome outcome = runSteppedTrial(
+        const SteppedOutcome outcome = driveSteppedTrial(
             stepped, policy, config, single_workload, runner_options, err);
         if (outcome.stopped_early) {
             out << "stopped at " << sim::toSec(outcome.stop_time)
@@ -840,32 +796,18 @@ runSimulate(const Options &options, std::ostream &out, std::ostream &err)
         single_workload = loadWorkload(options);
         resolveAutoCells(options, single_workload.view(), config,
                          runner_options.shards, err);
-        if (config.shard_cells > 1) {
-            if (single_workload.image)
-                single_workload.image->adviseShardedGather();
-            core::ShardedEngine engine(
-                single_workload.view(), config,
-                [&policy](const core::EngineConfig &cell_config) {
-                    return policies::makePolicy(policy, cell_config);
-                });
-            const unsigned shards = std::max(1u, runner_options.shards);
-            core::ShardExecOptions exec;
-            exec.epoch_events = runner_options.epoch_events;
-            exec.barrier_spin = runner_options.spin_iterations;
-            if (shards > 1) {
-                exec.pin_cpus = sim::resolvePinCpus(
-                    runner_options.pin, sim::CpuTopology::detect(),
-                    shards);
-                sim::ThreadPool pool(sim::ThreadPoolOptions{
-                    shards, runner_options.spin_iterations,
-                    exec.pin_cpus});
-                metrics = engine.run(&pool, exec);
-            } else {
-                metrics = engine.run(nullptr, exec);
-            }
+        if (config.shard_cells > 1 && single_workload.image)
+            single_workload.image->adviseShardedGather();
+        core::ShardedEngine engine(single_workload.view(), config,
+                                   registryPolicy(policy));
+        const unsigned shards = runner_options.shards;
+        if (config.shard_cells > 1 && shards > 1) {
+            const std::vector<int> pin_cpus = sim::resolvePinCpus(
+                runner_options.pin, sim::CpuTopology::detect(), shards);
+            sim::ThreadPool pool(sim::ThreadPoolOptions{
+                shards, sim::kDefaultPoolSpin, pin_cpus});
+            metrics = engine.run(&pool, pin_cpus);
         } else {
-            core::Engine engine(single_workload.view(), config,
-                                policies::makePolicy(policy, config));
             metrics = engine.run();
         }
     } else {
@@ -1051,52 +993,36 @@ runLive(const Options &options, std::ostream &out, std::ostream &err)
         synth_options.seed = baseSeed(options);
     }
 
+    if (config.shard_cells > 1 && workload.image)
+        workload.image->adviseShardedGather();
+    core::ShardedEngine engine(view, config, registryPolicy(policy));
+    engine.beginLive();
+
     // The consumer (this thread) drains until the producers have joined;
     // a closer thread flips the done flag after the final push so the
     // orchestrator's empty-ring re-drain check is race-free.
     live::LiveStats live_stats;
-    const auto consume = [&](auto &engine) {
-        engine.beginLive();
-        if (open_loop) {
-            live::SyntheticProducers producers(ring, producer_stats,
-                                               synth_options);
-            producers.start();
-            std::thread closer([&] {
-                producers.join();
-                done.store(true, std::memory_order_release);
-            });
-            live_stats = live::runLive(engine, ring, done, orch);
-            closer.join();
-        } else {
-            live::TracePacer pacer(view, ring, producer_stats,
-                                   pacer_options);
-            pacer.start();
-            std::thread closer([&] {
-                pacer.join();
-                done.store(true, std::memory_order_release);
-            });
-            live_stats = live::runLive(engine, ring, done, orch);
-            closer.join();
-        }
-    };
-
-    core::RunMetrics metrics;
-    if (config.shard_cells > 1) {
-        if (workload.image)
-            workload.image->adviseShardedGather();
-        core::ShardedEngine engine(
-            view, config,
-            [&policy](const core::EngineConfig &cell_config) {
-                return policies::makePolicy(policy, cell_config);
-            });
-        consume(engine);
-        metrics = engine.finish(nullptr);
+    if (open_loop) {
+        live::SyntheticProducers producers(ring, producer_stats,
+                                           synth_options);
+        producers.start();
+        std::thread closer([&] {
+            producers.join();
+            done.store(true, std::memory_order_release);
+        });
+        live_stats = live::runLive(engine, ring, done, orch);
+        closer.join();
     } else {
-        core::Engine engine(view, config,
-                            policies::makePolicy(policy, config));
-        consume(engine);
-        metrics = engine.finish();
+        live::TracePacer pacer(view, ring, producer_stats, pacer_options);
+        pacer.start();
+        std::thread closer([&] {
+            pacer.join();
+            done.store(true, std::memory_order_release);
+        });
+        live_stats = live::runLive(engine, ring, done, orch);
+        closer.join();
     }
+    const core::RunMetrics metrics = engine.finish(nullptr);
 
     const stats::LatencyHistogram &h = live_stats.decision_ns;
     out << "live: admitted " << live_stats.admitted << " requests in "
@@ -1293,10 +1219,6 @@ tuneSpecs()
         s.push_back({"pin", "mode", "shard-worker CPU pinning:"
                                     " auto|off|physical (results-neutral)",
                      "auto"});
-        s.push_back({"epoch-events", "n", "target events per lockstep"
-                                          " epoch in sharded trials"
-                                          " (results-neutral; 0 ="
-                                          " one-shot)", "0"});
         s.push_back({"progress", "", "per-trial telemetry on stderr", ""});
         return s;
     }();

@@ -45,7 +45,12 @@ struct CheckpointHeader
 static_assert(sizeof(CheckpointHeader) == 40,
               "on-disk checkpoint header layout must not change silently");
 
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/**
+ * Bumped whenever a payload layout changes.  Since version 2 a `run`
+ * checkpoint is the driver's simulated time followed by
+ * ShardedEngine::saveState, whatever the cell count.
+ */
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /**
  * Digest of the run configuration a checkpoint belongs to: engine

@@ -25,21 +25,6 @@ fullClusterCapacities(const cluster::ClusterConfig &cfg)
     return caps;
 }
 
-/** First simulated epoch length (~1 s); adaptation converges from here. */
-constexpr sim::SimTime kInitialEpochUs = 1 << 20;
-
-/** Ceiling on the adaptive epoch length (keeps `until` far from
- *  overflow even on degenerate all-idle traces). */
-constexpr sim::SimTime kMaxEpochUs = sim::SimTime{1} << 40;
-
-int
-pinCpuFor(const ShardExecOptions &exec, std::size_t index)
-{
-    if (exec.pin_cpus.empty())
-        return -1;
-    return exec.pin_cpus[index % exec.pin_cpus.size()];
-}
-
 } // namespace
 
 std::uint32_t
@@ -220,25 +205,18 @@ ShardedEngine::buildCell(std::size_t k)
 }
 
 RunMetrics
-ShardedEngine::run(sim::ThreadPool *pool, const ShardExecOptions &exec)
+ShardedEngine::run(sim::ThreadPool *pool, const std::vector<int> &pin_cpus)
 {
     if (ran_)
         throw std::logic_error("ShardedEngine: run() is single-shot");
     ran_ = true;
 
-    // Stepped mode needs the pool's full team concurrently (bodies
-    // meet at a barrier), so a pool already inside a loop — whose
-    // nested dispatches run serially — must fall back to one-shot.
-    // The fallback is bit-identical; only the epoch spine differs.
-    if (exec.epoch_events > 0 && pool != nullptr && cells_.size() > 1 &&
-        !pool->busy())
-        return merge(runStepped(*pool, exec));
-
-    // One-shot mode: each cell is built *and* run inside its loop body
-    // (pin, first-touch, simulate — one thread, one cell, one node).
+    // Each cell is built *and* run inside its loop body (pin,
+    // first-touch, simulate — one thread, one cell, one node).
     std::vector<RunMetrics> per_cell(cells_.size());
-    auto body = [this, &per_cell, &exec](std::size_t k) {
-        sim::ScopedAffinity pin(pinCpuFor(exec, k));
+    auto body = [this, &per_cell, &pin_cpus](std::size_t k) {
+        sim::ScopedAffinity pin(
+            pin_cpus.empty() ? -1 : pin_cpus[k % pin_cpus.size()]);
         buildCell(k);
         per_cell[k] = cells_[k].engine->run();
     };
@@ -248,118 +226,6 @@ ShardedEngine::run(sim::ThreadPool *pool, const ShardExecOptions &exec)
         for (std::size_t k = 0; k < cells_.size(); ++k)
             body(k);
     return merge(std::move(per_cell));
-}
-
-std::vector<RunMetrics>
-ShardedEngine::runStepped(sim::ThreadPool &pool,
-                          const ShardExecOptions &exec)
-{
-    const unsigned team = pool.threadCount();
-    const std::uint64_t target = exec.epoch_events;
-    sim::EpochBarrier barrier(team, exec.barrier_spin);
-
-    std::vector<RunMetrics> per_cell(cells_.size());
-
-    // Per-worker epoch accounting, one padded slot per team index so
-    // concurrent writers never share a cache line.
-    struct alignas(64) WorkerEpoch
-    {
-        std::uint64_t events = 0;
-        sim::SimTime next_event = sim::kTimeInfinity;
-    };
-    std::vector<WorkerEpoch> slots(team);
-
-    // The shared epoch plan.  Written only by team index 0 between the
-    // two barrier crossings of an epoch; read by everyone after the
-    // second crossing.  The barrier's sense word orders the accesses
-    // (leader writes happen-before its arrival, which happens-before
-    // every wake), so no additional atomics are needed.
-    struct alignas(64) EpochPlan
-    {
-        sim::SimTime until = 0;
-        sim::SimTime epoch_len = kInitialEpochUs;
-        std::uint64_t epochs_planned = 0;
-        bool done = false;
-    };
-    EpochPlan plan;
-
-    auto body = [&](std::size_t index) {
-        const auto w = static_cast<unsigned>(index);
-        sim::ScopedAffinity pin(pinCpuFor(exec, w));
-        sim::EpochBarrier::Waiter waiter;
-
-        // Build and arm the statically owned cells (k % team == w) on
-        // this thread: ownership never migrates, so the pages stay with
-        // the worker that keeps touching them.
-        auto &slot = slots[w];
-        for (std::size_t k = w; k < cells_.size(); k += team) {
-            buildCell(k);
-            cells_[k].engine->begin();
-            slot.next_event = std::min(slot.next_event,
-                                       cells_[k].engine->nextEventTime());
-        }
-
-        for (;;) {
-            barrier.arriveAndWait(waiter);
-            // Team index 0 — never "whoever arrived last", that is
-            // scheduling-dependent — plans the next epoch from global
-            // sums, so the plan sequence is a pure function of the
-            // workload no matter how many workers execute it.
-            if (w == 0) {
-                std::uint64_t events = 0;
-                auto next = sim::kTimeInfinity;
-                for (const auto &s : slots) {
-                    events += s.events;
-                    next = std::min(next, s.next_event);
-                }
-                if (next == sim::kTimeInfinity) {
-                    plan.done = true;
-                } else {
-                    // Adapt toward the events-per-epoch target (skip
-                    // the arming pass — nothing has executed yet).
-                    if (plan.epochs_planned > 0) {
-                        if (events < target / 2)
-                            plan.epoch_len =
-                                std::min(plan.epoch_len * 2, kMaxEpochUs);
-                        else if (events > target * 2)
-                            plan.epoch_len = std::max(plan.epoch_len / 2,
-                                                      sim::SimTime{1});
-                    }
-                    // Start the epoch at the next runnable event, not
-                    // at the previous boundary: idle gaps are jumped,
-                    // not swept.
-                    plan.until =
-                        std::max(plan.until, next) + plan.epoch_len;
-                    ++plan.epochs_planned;
-                }
-            }
-            barrier.arriveAndWait(waiter);
-            if (plan.done)
-                break;
-
-            slot.events = 0;
-            slot.next_event = sim::kTimeInfinity;
-            for (std::size_t k = w; k < cells_.size(); k += team) {
-                auto &engine = *cells_[k].engine;
-                if (engine.drained())
-                    continue;
-                slot.events += engine.stepUntil(plan.until);
-                slot.next_event = std::min(slot.next_event,
-                                           engine.nextEventTime());
-            }
-        }
-
-        for (std::size_t k = w; k < cells_.size(); k += team)
-            per_cell[k] = cells_[k].engine->finish();
-    };
-
-    // One dispatch for the whole trial: the team is resident.  With
-    // count == threadCount() and bodies that block on the barrier,
-    // every pool thread ends up owning exactly one team index (no
-    // thread can claim a second body before all bodies started).
-    pool.parallelFor(team, sim::ThreadPool::Body(
-        [&body](std::size_t index, unsigned) { body(index); }));
-    return per_cell;
 }
 
 void

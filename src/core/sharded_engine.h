@@ -31,7 +31,9 @@
  * wall-clock knob: `--shards 1`, `2` and `4` produce bit-identical
  * metrics, and with shard_cells == 1 the sharded runtime is a perfect
  * pass-through of the plain Engine (same trace object, same seed, same
- * bytes out — pinned by the golden tests).
+ * bytes out — pinned by the golden tests).  That is why the CLI, the
+ * experiment runner, `tune` and `live` construct only ShardedEngine,
+ * whatever the cell count: one code path serves every shape.
  *
  * What changes results is the *model* parameter shard_cells itself:
  * a 4-cell cluster is a different (partitioned) system than the
@@ -40,29 +42,14 @@
  *
  * ## Execution (wall-clock only — never results)
  *
- * ShardExecOptions carries the knobs that make the sharded run *fast*
- * without touching what it computes:
- *
- *  - **Placement.**  pin_cpus maps cell (one-shot mode) or team index
- *    (stepped mode) to a CPU; bodies pin via sim::ScopedAffinity before
- *    touching cell state.  Cells are built lazily *on the thread that
- *    runs them* (first-touch), so a cell's sub-trace, cluster state and
- *    metrics pages are allocated on the NUMA node of the worker that
- *    will simulate it.  CellRuntime is cache-line aligned and per-cell
- *    counters are padded, so neighbouring cells never false-share.
- *
- *  - **Epochs.**  epoch_events > 0 selects lockstep-epoch execution on
- *    a resident worker team: one parallelFor dispatch for the whole
- *    trial, workers statically own cells (team index w owns cells
- *    k % W == w) and meet at a sense-reversing EpochBarrier between
- *    epochs.  The epoch length adapts toward the events-per-epoch
- *    target from *global* per-epoch sums, so the sequence of epoch
- *    boundaries — like everything else — is a pure function of the
- *    workload and config, never of the thread count.  Since cells are
- *    mutually independent, epoch boundaries cannot change results at
- *    all; they exist so future cross-cell couplings (and progress
- *    telemetry) have a deterministic synchronization spine that costs
- *    nanoseconds, not futex round trips, per crossing.
+ * run() takes the two knobs that make the sharded run *fast* without
+ * touching what it computes: the pool supplying the shard threads, and
+ * a CPU per cell (pin_cpus); bodies pin via sim::ScopedAffinity before
+ * touching cell state.  Cells are built lazily *on the thread that runs
+ * them* (first-touch), so a cell's sub-trace, cluster state and metrics
+ * pages are allocated on the NUMA node of the worker that will simulate
+ * it.  CellRuntime is cache-line aligned and per-cell counters are
+ * padded, so neighbouring cells never false-share.
  */
 
 #ifndef CIDRE_CORE_SHARDED_ENGINE_H
@@ -77,7 +64,6 @@
 #include "core/engine.h"
 #include "core/metrics.h"
 #include "core/policy.h"
-#include "sim/epoch_barrier.h"
 #include "sim/thread_pool.h"
 #include "sim/topology.h"
 #include "trace/trace_view.h"
@@ -86,9 +72,6 @@ namespace cidre::core {
 
 /** Floor of requests per cell enforced by autoCellCount(). */
 inline constexpr std::uint64_t kMinRequestsPerCell = 4096;
-
-/** Default adaptive target of `--epoch-events` stepped execution. */
-inline constexpr std::uint64_t kDefaultEpochEvents = 1ull << 15;
 
 /**
  * The `--cells auto` planner: derive a cell count from the workload,
@@ -108,26 +91,6 @@ std::uint32_t autoCellCount(trace::TraceView workload,
                             const EngineConfig &config,
                             unsigned shard_threads,
                             const sim::CpuTopology &topology);
-
-/** Wall-clock execution knobs of a sharded run; see the file comment. */
-struct ShardExecOptions
-{
-    /**
-     * CPU per cell (one-shot) / team index (stepped): entry [i % size].
-     * Empty = run unpinned.  Typically sim::resolvePinCpus(...).
-     */
-    std::vector<int> pin_cpus;
-
-    /**
-     * Target events per lockstep epoch; 0 = one-shot execution (each
-     * cell runs to completion in a single pass, the fastest mode for
-     * fully independent cells).
-     */
-    std::uint64_t epoch_events = 0;
-
-    /** Spin budget of the epoch barrier (stepped mode only). */
-    unsigned barrier_spin = sim::kDefaultBarrierSpin;
-};
 
 /** Deterministic partition of one trial into independent cells. */
 struct ShardPlan
@@ -192,17 +155,17 @@ class ShardedEngine
     /**
      * Run the whole trial and return the merged metrics.  @p pool
      * supplies the shard threads (nullptr = run cells serially on the
-     * calling thread); the result is bit-identical either way, and for
-     * every @p exec (pinning, epoch mode): execution options are pure
+     * calling thread); cell k runs pinned to pin_cpus[k % size] (empty
+     * = unpinned; typically sim::resolvePinCpus(...)).  The result is
+     * bit-identical for every pool and pin list: both are pure
      * wall-clock knobs.  Single-shot, like Engine::run().
      *
-     * Cells are built inside the loop bodies (first-touch placement);
-     * exec.epoch_events > 0 selects the resident-team stepped mode.
+     * Cells are built inside the loop bodies (first-touch placement).
      */
     RunMetrics run(sim::ThreadPool *pool = nullptr,
-                   const ShardExecOptions &exec = {});
+                   const std::vector<int> &pin_cpus = {});
 
-    // ---- stepped execution (lockstep epochs) --------------------------
+    // ---- stepped execution --------------------------------------------
 
     /**
      * Arm every cell without executing events.  Single-shot.  Builds
@@ -213,10 +176,10 @@ class ShardedEngine
     void begin();
 
     /**
-     * One lockstep epoch: drive every cell up to and including @p until
-     * (simulated time), cells in parallel on @p pool.  The epoch
+     * One step: drive every cell up to and including @p until
+     * (simulated time), cells in parallel on @p pool.  The step
      * boundary is a barrier — all cells reach @p until before the call
-     * returns.  @return events executed across cells this epoch.
+     * returns.  @return events executed across cells this step.
      */
     std::size_t stepUntil(sim::SimTime until,
                           sim::ThreadPool *pool = nullptr);
@@ -290,10 +253,10 @@ class ShardedEngine
 
     /**
      * Visit every cell engine in canonical cell order (the `tune` fork
-     * point: swap policies / reseed each cell between epochs).  Requires
+     * point: swap policies / reseed each cell between steps).  Requires
      * the cells to be built — true after begin() or loadState().  Runs
      * on the calling thread; call at a quiescent point (between
-     * stepUntil() epochs).
+     * stepUntil() calls).
      */
     void forEachCell(const std::function<void(Engine &, std::uint32_t)> &fn);
 
@@ -334,10 +297,6 @@ class ShardedEngine
 
     /** Canonical cell-order fold of per-cell results (see finish()). */
     RunMetrics merge(std::vector<RunMetrics> per_cell);
-
-    /** Resident-team lockstep-epoch execution (see the file comment). */
-    std::vector<RunMetrics> runStepped(sim::ThreadPool &pool,
-                                       const ShardExecOptions &exec);
 
     trace::TraceView trace_;
     EngineConfig config_;

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 
 #include "core/checkpoint.h"
-#include "core/engine.h"
 #include "core/sharded_engine.h"
 #include "exp/telemetry.h"
 #include "policies/registry.h"
@@ -58,14 +56,13 @@ ExperimentRunner::ExperimentRunner(RunnerOptions options)
             options_.pin, sim::CpuTopology::detect(), shard_threads_);
     }
 
-    outer_pool_ = std::make_unique<sim::ThreadPool>(sim::ThreadPoolOptions{
-        outer, options_.spin_iterations, {}});
+    outer_pool_ = std::make_unique<sim::ThreadPool>(outer);
     if (shard_threads_ > 1) {
         inner_pools_.reserve(outer);
         for (unsigned slot = 0; slot < outer; ++slot)
             inner_pools_.push_back(std::make_unique<sim::ThreadPool>(
                 sim::ThreadPoolOptions{shard_threads_,
-                                       options_.spin_iterations,
+                                       sim::kDefaultPoolSpin,
                                        pin_cpus_}));
     }
 }
@@ -108,80 +105,36 @@ ExperimentRunner::run(const std::vector<TrialSpec> &specs)
             }
 
             TrialResult &result = results[i];
+            core::ShardedEngine engine(
+                spec.workload, config,
+                [&spec](const core::EngineConfig &cell_config) {
+                    return policies::makePolicy(spec.policy, cell_config);
+                });
+            sim::ThreadPool *pool =
+                inner_pools_.empty() ? nullptr : inner_pools_[slot].get();
             if (fork_trial) {
                 // Warm path: restore the prefix snapshot.  Cold path:
                 // simulate the prefix.  Both then apply the identical
                 // fork hook, so their suffixes are bit-identical.
-                std::optional<sim::StateReader> reader;
                 if (spec.warm) {
-                    const std::vector<std::byte> &payload =
-                        core::openCheckpointBuffer(*spec.warm,
-                                                   spec.warm_fingerprint);
-                    reader.emplace(payload);
-                }
-                if (config.shard_cells > 1) {
-                    core::ShardedEngine engine(
-                        spec.workload, config,
-                        [&spec](const core::EngineConfig &cell_config) {
-                            return policies::makePolicy(spec.policy,
-                                                        cell_config);
-                        });
-                    sim::ThreadPool *pool = inner_pools_.empty()
-                        ? nullptr
-                        : inner_pools_[slot].get();
-                    if (reader) {
-                        engine.loadState(*reader);
-                    } else {
-                        engine.begin();
-                        if (spec.fork_time > 0)
-                            engine.stepUntil(spec.fork_time, pool);
-                    }
-                    if (spec.at_fork)
-                        engine.forEachCell(spec.at_fork);
-                    result.metrics = engine.finish(pool);
-                    result.events_executed = engine.eventsExecuted();
+                    sim::StateReader reader(core::openCheckpointBuffer(
+                        *spec.warm, spec.warm_fingerprint));
+                    engine.loadState(reader);
                 } else {
-                    core::Engine engine(
-                        spec.workload, config,
-                        policies::makePolicy(spec.policy, config));
-                    if (reader) {
-                        engine.loadState(*reader);
-                    } else {
-                        engine.begin();
-                        if (spec.fork_time > 0)
-                            engine.stepUntil(spec.fork_time);
-                    }
-                    if (spec.at_fork)
-                        spec.at_fork(engine, 0);
-                    result.metrics = engine.finish();
-                    result.events_executed = engine.eventsExecuted();
+                    engine.begin();
+                    if (spec.fork_time > 0)
+                        engine.stepUntil(spec.fork_time, pool);
                 }
-            } else if (config.shard_cells > 1) {
+                if (spec.at_fork)
+                    engine.forEachCell(spec.at_fork);
+                result.metrics = engine.finish(pool);
+            } else {
                 // Shard threads only affect wall-clock; the substream
                 // space stays 2-D and positional — cell c of trial t
                 // runs on substreamSeed(substreamSeed(base, t), c).
-                core::ShardedEngine engine(
-                    spec.workload, config,
-                    [&spec](const core::EngineConfig &cell_config) {
-                        return policies::makePolicy(spec.policy,
-                                                    cell_config);
-                    });
-                core::ShardExecOptions exec;
-                exec.pin_cpus = pin_cpus_;
-                exec.epoch_events = options_.epoch_events;
-                exec.barrier_spin = options_.spin_iterations;
-                result.metrics = engine.run(
-                    inner_pools_.empty() ? nullptr
-                                         : inner_pools_[slot].get(),
-                    exec);
-                result.events_executed = engine.eventsExecuted();
-            } else {
-                core::Engine engine(spec.workload, config,
-                                    policies::makePolicy(spec.policy,
-                                                         config));
-                result.metrics = engine.run();
-                result.events_executed = engine.eventsExecuted();
+                result.metrics = engine.run(pool, pin_cpus_);
             }
+            result.events_executed = engine.eventsExecuted();
             result.spec_index = i;
             result.label = spec.label;
             result.seed = config.seed;

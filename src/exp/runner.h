@@ -27,8 +27,9 @@
  *
  * ## Nested parallelism (jobs × shards)
  *
- * A trial whose EngineConfig::shard_cells exceeds 1 runs through
- * core::ShardedEngine, which can itself fan its cells across threads.
+ * Every trial runs through core::ShardedEngine (one cell passes straight
+ * through to core::Engine); a trial whose EngineConfig::shard_cells
+ * exceeds 1 can fan its cells across threads.
  * The runner owns both layers: shards is first clamped to jobs, then a
  * reusable outer pool of max(1, jobs / shards) threads fans trials, and
  * each outer slot owns a private inner pool of `shards` threads that
@@ -190,16 +191,6 @@ struct RunnerOptions
      * cores (sim::resolvePinCpus).  Purely wall-clock.
      */
     sim::PinMode pin = sim::PinMode::Auto;
-
-    /**
-     * Target events per lockstep epoch inside sharded trials (the
-     * `--epoch-events` knob); 0 = one-shot cell execution.  Purely
-     * wall-clock (core::ShardExecOptions::epoch_events).
-     */
-    std::uint64_t epoch_events = 0;
-
-    /** Spin budget of pool waits and epoch barriers (iterations). */
-    unsigned spin_iterations = sim::kDefaultPoolSpin;
 };
 
 /** Default worker count: the hardware concurrency (at least 1). */
@@ -212,7 +203,7 @@ unsigned defaultJobs();
  * failing index is rethrown after the pool drains.
  *
  * One-shot convenience over sim::ThreadPool; code that dispatches many
- * loops (sweeps, epoch-stepped shards) should hold a pool instead —
+ * loops (sweeps, stepped shards) should hold a pool instead —
  * ExperimentRunner does.
  */
 void parallelFor(unsigned jobs, std::size_t count,
@@ -248,7 +239,7 @@ class ExperimentRunner
   private:
     RunnerOptions options_;
     unsigned shard_threads_ = 1;
-    /** CPU per cell/team index, per options_.pin (empty = unpinned). */
+    /** CPU per cell, per options_.pin (empty = unpinned). */
     std::vector<int> pin_cpus_;
     /** Fans trials; outer slot s runs its sharded cells on inner s. */
     std::unique_ptr<sim::ThreadPool> outer_pool_;

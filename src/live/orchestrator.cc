@@ -1,23 +1,66 @@
 #include "live/orchestrator.h"
 
-namespace cidre::live {
+#include <chrono>
+#include <thread>
+#include <vector>
 
-LiveStats
-runLive(core::Engine &engine, IngestRing &ring,
-        const std::atomic<bool> &producers_done,
-        const OrchestratorOptions &options)
-{
-    SingleCellDriver driver{engine};
-    return consumeStream(driver, ring, producers_done, options);
-}
+#include "sim/topology.h"
+
+namespace cidre::live {
 
 LiveStats
 runLive(core::ShardedEngine &engine, IngestRing &ring,
         const std::atomic<bool> &producers_done,
         const OrchestratorOptions &options)
 {
-    ShardedDriver driver{engine};
-    return consumeStream(driver, ring, producers_done, options);
+    using Clock = std::chrono::steady_clock;
+    LiveStats stats;
+    sim::ScopedAffinity pin(options.pin_cpu);
+    std::vector<IngestRequest> batch(options.batch > 0 ? options.batch : 1);
+
+    sim::SimTime last = 0;
+    unsigned idle_polls = 0;
+    const auto loop_start = Clock::now();
+    for (;;) {
+        const std::size_t n = ring.drain(batch.data(), batch.size());
+        if (n == 0) {
+            // Check done *before* the re-drain: the flag is set after
+            // the final push, so an empty re-drain proves completion.
+            if (producers_done.load(std::memory_order_acquire) &&
+                ring.drain(batch.data(), batch.size()) == 0)
+                break;
+            if (++idle_polls >= options.spin) {
+                idle_polls = 0;
+                std::this_thread::yield();
+            }
+            continue;
+        }
+        idle_polls = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const IngestRequest &req = batch[i];
+            sim::SimTime when = req.arrival_us;
+            if (when < last) {
+                when = last;
+                ++stats.reordered;
+            }
+            last = when;
+            // Untimed catch-up: everything strictly before the arrival.
+            if (when > 0)
+                engine.stepUntil(when - 1, nullptr);
+            const auto t0 = Clock::now();
+            engine.admit(when, req.function, req.exec_us);
+            const auto t1 = Clock::now();
+            stats.decision_ns.record(static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    t1 - t0)
+                    .count()));
+            ++stats.admitted;
+        }
+    }
+    engine.closeStream();
+    stats.wall_seconds =
+        std::chrono::duration<double>(Clock::now() - loop_start).count();
+    return stats;
 }
 
 } // namespace cidre::live

@@ -27,16 +27,11 @@
 #define CIDRE_LIVE_ORCHESTRATOR_H
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <thread>
-#include <vector>
 
-#include "core/engine.h"
 #include "core/sharded_engine.h"
 #include "live/ingest_ring.h"
 #include "sim/thread_pool.h"
-#include "sim/topology.h"
 #include "stats/latency_histogram.h"
 
 namespace cidre::live {
@@ -72,104 +67,13 @@ struct LiveStats
     }
 };
 
-/** Admission adapter over the single-cell engine. */
-struct SingleCellDriver
-{
-    core::Engine &engine;
-
-    void step(sim::SimTime until) { engine.stepUntil(until); }
-    void admit(sim::SimTime when, std::uint32_t function,
-               sim::SimTime exec_us)
-    {
-        engine.admit(when, function, exec_us);
-    }
-    void close() { engine.closeStream(); }
-};
-
-/** Admission adapter routing into sharded cells (serial stepping). */
-struct ShardedDriver
-{
-    core::ShardedEngine &engine;
-
-    void step(sim::SimTime until) { engine.stepUntil(until, nullptr); }
-    void admit(sim::SimTime when, std::uint32_t function,
-               sim::SimTime exec_us)
-    {
-        engine.admit(when, function, exec_us);
-    }
-    void close() { engine.closeStream(); }
-};
-
 /**
- * Drain @p ring into @p driver until @p producers_done is observed with
- * the ring empty, then close the driver's stream.  The caller finishes
- * the engine (and merges metrics) afterwards; this function owns only
- * the admission loop.
+ * Drain @p ring into @p engine until @p producers_done is observed with
+ * the ring empty, then close the engine's stream.  The engine must
+ * already be armed (beginLive()); the caller finishes it (and merges
+ * metrics) afterwards — this function owns only the admission loop.
+ * Cells are stepped serially on the calling thread.
  */
-template <typename Driver>
-LiveStats
-consumeStream(Driver &&driver, IngestRing &ring,
-              const std::atomic<bool> &producers_done,
-              const OrchestratorOptions &options = {})
-{
-    using Clock = std::chrono::steady_clock;
-    LiveStats stats;
-    sim::ScopedAffinity pin(options.pin_cpu);
-    std::vector<IngestRequest> batch(options.batch > 0 ? options.batch : 1);
-
-    sim::SimTime last = 0;
-    unsigned idle_polls = 0;
-    const auto loop_start = Clock::now();
-    for (;;) {
-        const std::size_t n = ring.drain(batch.data(), batch.size());
-        if (n == 0) {
-            // Check done *before* the re-drain: the flag is set after
-            // the final push, so an empty re-drain proves completion.
-            if (producers_done.load(std::memory_order_acquire) &&
-                ring.drain(batch.data(), batch.size()) == 0)
-                break;
-            if (++idle_polls >= options.spin) {
-                idle_polls = 0;
-                std::this_thread::yield();
-            }
-            continue;
-        }
-        idle_polls = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            const IngestRequest &req = batch[i];
-            sim::SimTime when = req.arrival_us;
-            if (when < last) {
-                when = last;
-                ++stats.reordered;
-            }
-            last = when;
-            // Untimed catch-up: everything strictly before the arrival.
-            if (when > 0)
-                driver.step(when - 1);
-            const auto t0 = Clock::now();
-            driver.admit(when, req.function, req.exec_us);
-            const auto t1 = Clock::now();
-            stats.decision_ns.record(static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    t1 - t0)
-                    .count()));
-            ++stats.admitted;
-        }
-    }
-    driver.close();
-    stats.wall_seconds =
-        std::chrono::duration<double>(Clock::now() - loop_start).count();
-    return stats;
-}
-
-/**
- * Convenience fronts: wrap the engine in its driver and run the
- * admission loop.  The engine must already be armed (beginLive());
- * the caller finishes it after this returns.
- */
-LiveStats runLive(core::Engine &engine, IngestRing &ring,
-                  const std::atomic<bool> &producers_done,
-                  const OrchestratorOptions &options = {});
 LiveStats runLive(core::ShardedEngine &engine, IngestRing &ring,
                   const std::atomic<bool> &producers_done,
                   const OrchestratorOptions &options = {});

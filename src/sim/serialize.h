@@ -28,6 +28,13 @@ namespace cidre::sim {
 class StateWriter
 {
   public:
+    /**
+     * Starts with a little capacity.  Besides skipping the first
+     * reallocations, this keeps GCC 12 from reporting a false
+     * -Wstringop-overflow for the first insert into an empty buffer.
+     */
+    StateWriter() { buffer_.reserve(64); }
+
     template <typename T> void put(const T &value)
     {
         static_assert(std::is_trivially_copyable_v<T>,

@@ -12,8 +12,8 @@
  *
  *  - **Threads are hoisted.**  Workers are spawned once and reused
  *    across parallelFor() calls, so a sweep that dispatches thousands
- *    of trials (or a sharded trial stepped in epochs) does not pay a
- *    spawn/join round trip per call.
+ *    of trials (or a sharded trial stepped through stepUntil()) does
+ *    not pay a spawn/join round trip per call.
  *  - **The caller participates.**  parallelFor() claims indices on the
  *    calling thread too, so a pool constructed with N threads applies
  *    exactly N threads of compute, and a pool is usable (serially) even
@@ -26,18 +26,17 @@
  *
  * ## Wake-up latency (spin-then-park)
  *
- * An epoch-stepped sharded trial dispatches thousands of short loops,
- * and a helper that parked on the condvar between epochs pays a futex
- * wake plus scheduler latency before it can claim its first index —
- * easily longer than the epoch itself.  Helpers therefore spin on the
- * (atomic) generation counter for a bounded number of iterations after
- * finishing a loop before parking, and the caller's completion wait
- * spins the same way before blocking.  The budget is a constructor
- * knob (ThreadPoolOptions::spin_iterations): 0 restores the pure
- * condvar behaviour, the default covers inter-epoch gaps of a few
- * microseconds.  Spinning only ever costs the idle helper's own CPU
- * time; correctness is untouched (the park path re-checks the
- * predicate under the mutex that publishes it).
+ * A helper that parked on the condvar between two back-to-back loops
+ * pays a futex wake plus scheduler latency before it can claim its
+ * first index — longer than a short loop itself.  Helpers therefore
+ * spin on the (atomic) generation counter for a bounded number of
+ * iterations after finishing a loop before parking, and the caller's
+ * completion wait spins the same way before blocking.  The budget is a
+ * constructor knob (ThreadPoolOptions::spin_iterations): 0 restores
+ * the pure condvar behaviour, the default covers gaps of a few
+ * microseconds between loops.  Spinning only ever costs the idle
+ * helper's own CPU time; correctness is untouched (the park path
+ * re-checks the predicate under the mutex that publishes it).
  */
 
 #ifndef CIDRE_SIM_THREAD_POOL_H
@@ -119,14 +118,6 @@ class ThreadPool
     {
         return pinned_helpers_.load(std::memory_order_relaxed);
     }
-
-    /**
-     * True while a parallelFor is active on this pool.  A caller about
-     * to dispatch a loop whose bodies *synchronize with each other*
-     * (resident teams) must check this: a nested dispatch runs
-     * serially, which deadlocks inter-body barriers.
-     */
-    bool busy() const { return in_loop_.load(std::memory_order_acquire); }
 
     /**
      * Run body(0) ... body(count-1), returning when all ran.  The

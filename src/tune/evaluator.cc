@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/checkpoint.h"
-#include "core/engine.h"
 #include "core/sharded_engine.h"
 #include "exp/telemetry.h"
 #include "policies/registry.h"
@@ -119,25 +118,14 @@ TuneEvaluator::snapshotFor(const core::EngineConfig &config,
     ClassSnapshot snapshot;
     snapshot.fingerprint = core::checkpointFingerprint(
         config, options_.base_policy, workload_);
+    core::ShardedEngine engine(
+        workload_, config, [this](const core::EngineConfig &cell_config) {
+            return policies::makePolicy(options_.base_policy, cell_config);
+        });
+    engine.begin();
+    engine.stepUntil(options_.fork_time, nullptr);
     sim::StateWriter writer;
-    if (config.shard_cells > 1) {
-        core::ShardedEngine engine(
-            workload_, config,
-            [this](const core::EngineConfig &cell_config) {
-                return policies::makePolicy(options_.base_policy,
-                                            cell_config);
-            });
-        engine.begin();
-        engine.stepUntil(options_.fork_time, nullptr);
-        engine.saveState(writer);
-    } else {
-        core::Engine engine(
-            workload_, config,
-            policies::makePolicy(options_.base_policy, config));
-        engine.begin();
-        engine.stepUntil(options_.fork_time);
-        engine.saveState(writer);
-    }
+    engine.saveState(writer);
     snapshot.buffer = std::make_shared<const core::CheckpointBuffer>(
         core::makeCheckpointBuffer(snapshot.fingerprint, writer.release()));
     ++snapshots_built_;

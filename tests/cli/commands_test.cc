@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "cli/commands.h"
@@ -23,10 +26,11 @@ struct RunResult
 };
 
 RunResult
-invoke(std::initializer_list<const char *> args)
+invoke(const std::vector<std::string> &args)
 {
     std::vector<const char *> argv = {"cidre_sim"};
-    argv.insert(argv.end(), args.begin(), args.end());
+    for (const std::string &arg : args)
+        argv.push_back(arg.c_str());
     std::ostringstream out;
     std::ostringstream err;
     const int status = dispatch(static_cast<int>(argv.size()),
@@ -172,6 +176,61 @@ TEST(CidreSim, RunWithSyntheticKnobs)
                                 "5"});
     ASSERT_EQ(r.status, 0) << r.err;
     EXPECT_NE(r.out.find("policy: cidre-bss"), std::string::npos);
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+TEST(CidreSim, ResumedRunMatchesUninterruptedRunByteForByte)
+{
+    // Checkpoint periodically, stop mid-trace, resume: the resumed
+    // metrics JSON must equal the uninterrupted run's byte for byte.
+    // A single cell and a sharded cluster share one checkpoint path.
+    const std::vector<std::vector<std::string>> shapes = {
+        {"--cells", "1"},
+        {"--cells", "2", "--shards", "2"},
+    };
+    for (const std::vector<std::string> &shape : shapes) {
+        const std::string prefix = ::testing::TempDir() +
+            "cidre_sim_resume_cells" + shape[1];
+        const std::string ckpt = prefix + ".ckpt";
+        const std::string full_json = prefix + "_full.json";
+        const std::string resumed_json = prefix + "_resumed.json";
+        const auto runWith = [&shape](std::vector<std::string> extra) {
+            std::vector<std::string> args = {
+                "run", "--kind", "azure", "--scale", "0.03", "--seed",
+                "5", "--cache-gb", "20", "--policy", "cidre"};
+            args.insert(args.end(), shape.begin(), shape.end());
+            args.insert(args.end(), extra.begin(), extra.end());
+            return invoke(args);
+        };
+
+        const RunResult full = runWith({"--json", full_json});
+        ASSERT_EQ(full.status, 0) << full.err;
+        const RunResult stopped =
+            runWith({"--checkpoint", ckpt, "--checkpoint-every-sec", "300",
+                     "--stop-at-sec", "900"});
+        ASSERT_EQ(stopped.status, 0) << stopped.err;
+        EXPECT_NE(stopped.out.find("stopped at 900 s"), std::string::npos)
+            << stopped.out;
+        const RunResult resumed =
+            runWith({"--resume-from", ckpt, "--json", resumed_json});
+        ASSERT_EQ(resumed.status, 0) << resumed.err;
+
+        const std::string expected = readFile(full_json);
+        EXPECT_FALSE(expected.empty());
+        EXPECT_EQ(readFile(resumed_json), expected) << "shape " << shape[1];
+        EXPECT_EQ(resumed.out, full.out) << "shape " << shape[1];
+
+        std::remove(ckpt.c_str());
+        std::remove(full_json.c_str());
+        std::remove(resumed_json.c_str());
+    }
 }
 
 TEST(CidreSim, ErrorsAreReported)

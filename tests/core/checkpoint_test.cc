@@ -107,15 +107,21 @@ TEST(CheckpointFile, RejectsBadMagic)
 
 TEST(CheckpointFile, RejectsUnsupportedVersion)
 {
-    const std::string path = sampleCheckpoint("cidre_ckpt_badversion.ckpt");
-    std::vector<char> bytes = readAll(path);
-    const std::uint32_t bogus = kCheckpointVersion + 5;
-    std::memcpy(bytes.data() + offsetof(CheckpointHeader, version), &bogus,
-                sizeof bogus);
-    writeAll(path, bytes);
-    const std::string error = readError(path, kFingerprint);
-    EXPECT_NE(error.find("unsupported .ckpt version"), std::string::npos)
-        << error;
+    // Version 1 is the format before the `run` payload dropped its
+    // engine-kind byte: an old file must fail as a version mismatch,
+    // not as a misleading payload error.
+    for (const std::uint32_t bogus : {kCheckpointVersion + 5, 1u}) {
+        const std::string path =
+            sampleCheckpoint("cidre_ckpt_badversion.ckpt");
+        std::vector<char> bytes = readAll(path);
+        std::memcpy(bytes.data() + offsetof(CheckpointHeader, version),
+                    &bogus, sizeof bogus);
+        writeAll(path, bytes);
+        const std::string error = readError(path, kFingerprint);
+        EXPECT_NE(error.find("unsupported .ckpt version"),
+                  std::string::npos)
+            << "version " << bogus << ": " << error;
+    }
 }
 
 TEST(CheckpointFile, RejectsFileSmallerThanHeader)

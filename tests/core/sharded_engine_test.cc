@@ -302,7 +302,7 @@ TEST(ShardedEngine, ScattersOutcomesToOriginalRequestIndices)
     }
 }
 
-// ---- stepped (epoch) API ----------------------------------------------
+// ---- stepped API ------------------------------------------------------
 
 TEST(ShardedEngine, BeginFinishMatchesRun)
 {
@@ -324,12 +324,12 @@ TEST(ShardedEngine, BeginFinishMatchesRun)
 
 TEST(ShardedEngine, SteppedExecutionIsDeterministicAcrossPools)
 {
-    // Epoch stepping advances each cell's clock to the epoch boundary
+    // Stepping advances each cell's clock to the step boundary
     // (EventQueue::runUntil semantics, same as the plain engine's
-    // stepped path), so the makespan is epoch-granular; everything
+    // stepped path), so the makespan may be step-granular; everything
     // else — every counter, every event — must match the one-shot run,
     // and the whole stepped result must be bit-identical regardless of
-    // how many threads drive the epochs.
+    // how many threads drive the steps.
     const trace::Trace workload = testTrace();
     const auto config = testConfig(4);
 
@@ -371,7 +371,7 @@ TEST(ShardedEngine, SteppedExecutionIsDeterministicAcrossPools)
     EXPECT_EQ(actual.containers_created, reference.containers_created);
     EXPECT_EQ(actual.evictions, reference.evictions);
     EXPECT_EQ(actual.deferred_provisions, reference.deferred_provisions);
-    // Epoch-granular clock: never earlier than the event-granular one,
+    // Step-granular clock: never earlier than the event-granular one,
     // never past the boundary following it.
     EXPECT_GE(actual.makespan(), reference.makespan());
     EXPECT_LT(actual.makespan(), reference.makespan() + sim::sec(30));
@@ -394,10 +394,8 @@ TEST(ShardedEngine, PinningIsResultsNeutral)
                              unsigned threads) {
         sim::ThreadPool pool(sim::ThreadPoolOptions{
             threads, sim::kDefaultPoolSpin, pin_cpus});
-        core::ShardExecOptions exec;
-        exec.pin_cpus = pin_cpus;
         core::ShardedEngine engine(workload, config, factoryFor("cidre"));
-        return metricsFingerprint(engine.run(&pool, exec));
+        return metricsFingerprint(engine.run(&pool, pin_cpus));
     };
 
     const std::string unpinned = runWith({}, 2);
@@ -406,60 +404,6 @@ TEST(ShardedEngine, PinningIsResultsNeutral)
     ASSERT_FALSE(pins.empty());
     EXPECT_EQ(unpinned, runWith(pins, 2));
     EXPECT_EQ(unpinned, runWith(pins, 4));
-}
-
-TEST(ShardedEngine, EpochModeIsBitIdenticalToOneShot)
-{
-    // Lockstep-epoch execution (resident team, adaptive epoch length)
-    // against the one-shot run: same bytes out for every epoch target
-    // and team width.  This is the result-neutrality half of the
-    // barrier-overhead work; the makespan and the memory integral are
-    // covered too because finalize() keys on the last *executed* event,
-    // never on an overshooting epoch boundary.
-    const trace::Trace workload = testTrace();
-    auto config = testConfig(4);
-    config.record_per_request = true;
-
-    core::ShardedEngine oneshot(workload, config, factoryFor("cidre"));
-    const std::string expected = metricsFingerprint(oneshot.run());
-
-    for (const std::uint64_t target : {500ull, 20000ull, 1ull << 20}) {
-        for (const unsigned threads : {2u, 4u}) {
-            sim::ThreadPool pool(threads);
-            core::ShardExecOptions exec;
-            exec.epoch_events = target;
-            core::ShardedEngine stepped(workload, config,
-                                        factoryFor("cidre"));
-            EXPECT_EQ(metricsFingerprint(stepped.run(&pool, exec)),
-                      expected)
-                << "epoch target " << target << ", " << threads
-                << " threads";
-            EXPECT_EQ(stepped.eventsExecuted(), oneshot.eventsExecuted());
-        }
-    }
-}
-
-TEST(ShardedEngine, EpochModeOnBusyPoolFallsBackInsteadOfDeadlocking)
-{
-    // A resident team's bodies block on a barrier, so dispatching one
-    // onto a pool already inside a parallelFor (which runs nested loops
-    // serially) would deadlock at the first crossing.  run() probes
-    // busy() and falls back to the bit-identical one-shot path.
-    const trace::Trace workload = testTrace(0.02);
-    const auto config = testConfig(2);
-
-    core::ShardedEngine reference(workload, config, factoryFor("ttl"));
-    const std::string expected = metricsFingerprint(reference.run());
-
-    sim::ThreadPool pool(2);
-    std::string nested;
-    pool.parallelFor(1, [&](std::size_t) {
-        core::ShardExecOptions exec;
-        exec.epoch_events = 1000;
-        core::ShardedEngine engine(workload, config, factoryFor("ttl"));
-        nested = metricsFingerprint(engine.run(&pool, exec));
-    });
-    EXPECT_EQ(nested, expected);
 }
 
 // ---- auto cell planning -----------------------------------------------

@@ -103,7 +103,7 @@ TEST(RunnerDeterminism, BitIdenticalAcrossRepeatedRuns)
     EXPECT_EQ(sweepFingerprint(8), sweepFingerprint(8));
 }
 
-// Sharded trials (shard_cells > 1 routes through core::ShardedEngine):
+// Sharded trials (shard_cells > 1 fans cells across the inner pools):
 // the shard thread count must be results-neutral, independently and
 // jointly with the job count.
 TEST(RunnerDeterminism, ShardedTrialsBitIdenticalAcrossJobsAndShards)

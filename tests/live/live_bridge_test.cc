@@ -3,8 +3,10 @@
  * The determinism bridge: a stream-driven engine fed a trace's exact
  * arrival sequence must be bit-identical (metrics JSON) to the
  * trace-driven run — single-cell and sharded, bare admit loop and the
- * full producer/ring/orchestrator stack.  Plus the live-mode guards
- * and the orchestrator's out-of-order clamp.
+ * full producer/ring/orchestrator stack.  Streams run through
+ * core::ShardedEngine, the type every live caller drives; the
+ * single-cell reference is the plain core::Engine trace run.  Plus the
+ * live-mode guards and the orchestrator's out-of-order clamp.
  */
 
 #include <gtest/gtest.h>
@@ -53,7 +55,15 @@ bridgeConfig(std::uint32_t cells = 1)
     return config;
 }
 
-/** The trace-driven reference run. */
+core::ShardedEngine::PolicyFactory
+factoryFor(const std::string &policy)
+{
+    return [policy](const core::EngineConfig &cell_config) {
+        return policies::makePolicy(policy, cell_config);
+    };
+}
+
+/** The trace-driven single-cell reference run. */
 core::RunMetrics
 traceRun(const trace::Trace &t, const core::EngineConfig &config,
          const std::string &policy)
@@ -68,14 +78,13 @@ liveRun(const trace::Trace &t, const core::EngineConfig &config,
         const std::string &policy)
 {
     const trace::TraceView view(t);
-    core::Engine engine(view, config,
-                        policies::makePolicy(policy, config));
+    core::ShardedEngine engine(view, config, factoryFor(policy));
     engine.beginLive();
     for (std::uint64_t i = 0; i < view.requestCount(); ++i)
         engine.admit(view.arrivalUs(i), view.requestFunction(i),
                      view.execUs(i));
     engine.closeStream();
-    return engine.finish();
+    return engine.finish(nullptr);
 }
 
 TEST(LiveBridge, AdmitSequenceMatchesTraceRunBitForBit)
@@ -93,22 +102,10 @@ TEST(LiveBridge, AdmitSequenceMatchesTraceRunBitForBit)
 TEST(LiveBridge, ShardedAdmitMatchesShardedTraceRun)
 {
     const trace::Trace t = bridgeTrace();
-    const trace::TraceView view(t);
     const core::EngineConfig config = bridgeConfig(2);
-    const auto factory = [](const core::EngineConfig &cell_config) {
-        return policies::makePolicy("cidre", cell_config);
-    };
-
-    core::ShardedEngine reference(view, config, factory);
-    const std::string expect = metricsJson(reference.run(nullptr, {}));
-
-    core::ShardedEngine engine(view, config, factory);
-    engine.beginLive();
-    for (std::uint64_t i = 0; i < view.requestCount(); ++i)
-        engine.admit(view.arrivalUs(i), view.requestFunction(i),
-                     view.execUs(i));
-    engine.closeStream();
-    EXPECT_EQ(expect, metricsJson(engine.finish(nullptr)));
+    core::ShardedEngine reference(t, config, factoryFor("cidre"));
+    EXPECT_EQ(metricsJson(reference.run()),
+              metricsJson(liveRun(t, config, "cidre")));
 }
 
 /** The full stack: pacer thread -> ring -> orchestrator loop. */
@@ -120,8 +117,7 @@ TEST(LiveBridge, FullStreamStackMatchesTraceRun)
     const std::string reference =
         metricsJson(traceRun(t, config, "cidre"));
 
-    core::Engine engine(view, config,
-                        policies::makePolicy("cidre", config));
+    core::ShardedEngine engine(view, config, factoryFor("cidre"));
     engine.beginLive();
 
     live::IngestRing ring(1024);
@@ -140,7 +136,7 @@ TEST(LiveBridge, FullStreamStackMatchesTraceRun)
     EXPECT_EQ(stats.decision_ns.count(), view.requestCount());
     EXPECT_EQ(stats.reordered, 0u);
     EXPECT_EQ(producer_stats.produced.load(), view.requestCount());
-    EXPECT_EQ(reference, metricsJson(engine.finish()));
+    EXPECT_EQ(reference, metricsJson(engine.finish(nullptr)));
 }
 
 TEST(LiveBridge, PacerCutoffStreamsOnlyEarlyArrivals)
@@ -191,8 +187,7 @@ TEST(LiveBridge, OrchestratorClampsOutOfOrderArrivals)
 
     core::EngineConfig config = test::smallConfig();
     config.record_per_request = false;
-    core::Engine engine(trace::TraceView(t), config,
-                        policies::makePolicy("ttl", config));
+    core::ShardedEngine engine(t, config, factoryFor("ttl"));
     engine.beginLive();
 
     live::IngestRing ring(8);
@@ -206,7 +201,7 @@ TEST(LiveBridge, OrchestratorClampsOutOfOrderArrivals)
     const live::LiveStats stats = live::runLive(engine, ring, done, {});
     EXPECT_EQ(stats.admitted, 3u);
     EXPECT_EQ(stats.reordered, 1u);
-    const core::RunMetrics metrics = engine.finish();
+    const core::RunMetrics metrics = engine.finish(nullptr);
     // Only streamed admissions count: the trace is a function table in
     // live mode, its recorded requests are never scheduled.
     EXPECT_EQ(metrics.total(), 3u);
@@ -258,8 +253,7 @@ TEST(LiveBridge, SyntheticOpenLoopDrivesTheFullStack)
     core::EngineConfig config = test::smallConfig();
     config.record_per_request = false;
 
-    core::Engine engine(trace::TraceView(t), config,
-                        policies::makePolicy("ttl", config));
+    core::ShardedEngine engine(t, config, factoryFor("ttl"));
     engine.beginLive();
 
     live::IngestRing ring(256);
@@ -281,7 +275,7 @@ TEST(LiveBridge, SyntheticOpenLoopDrivesTheFullStack)
 
     EXPECT_EQ(stats.admitted, 15'000u);
     EXPECT_EQ(producer_stats.produced.load(), 15'000u);
-    const core::RunMetrics metrics = engine.finish();
+    const core::RunMetrics metrics = engine.finish(nullptr);
     EXPECT_EQ(metrics.total(), 15'000u);
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * ThreadPool configuration tests: the spin-then-park budget knob, the
- * helper-affinity option, the busy() reentrancy probe, and that every
+ * helper-affinity option, serial nested dispatch, and that every
  * configuration still runs loops to completion with each index claimed
  * exactly once.  (Determinism across thread counts is pinned by the
  * runner and sharded-engine suites; this file covers the knobs.)
@@ -74,19 +74,6 @@ TEST(ThreadPoolOptions, PinCpusIsBestEffortAndResultsNeutral)
     sim::ThreadPool unpinnable(bogus);
     expectCompleteLoop(unpinnable, 50);
     EXPECT_EQ(unpinnable.pinnedHelpers(), 0u);
-}
-
-TEST(ThreadPool, BusyOnlyWhileALoopIsActive)
-{
-    sim::ThreadPool pool(2);
-    EXPECT_FALSE(pool.busy());
-    std::atomic<bool> busy_inside{false};
-    pool.parallelFor(4, [&](std::size_t) {
-        if (pool.busy())
-            busy_inside.store(true, std::memory_order_relaxed);
-    });
-    EXPECT_TRUE(busy_inside.load());
-    EXPECT_FALSE(pool.busy());
 }
 
 TEST(ThreadPool, NestedDispatchRunsSeriallyInsteadOfDeadlocking)

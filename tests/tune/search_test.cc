@@ -36,9 +36,12 @@ syntheticObservations(const ParameterSpace &space,
     for (std::size_t i = 0; i < batch.size(); ++i) {
         observations[i].point = batch[i];
         observations[i].id = space.pointId(batch[i]);
-        // Any smooth deterministic function of the point works.
+        // Any smooth deterministic function of the point works; a 1-D
+        // point has no second coordinate.
         const double x = static_cast<double>(batch[i][0] + 1);
-        const double y = static_cast<double>(batch[i][1] + 1);
+        const double y = batch[i].size() > 1
+            ? static_cast<double>(batch[i][1] + 1)
+            : 1.0;
         observations[i].objectives = {x * 3.0 + y, 100.0 / (x + y)};
     }
     return observations;
