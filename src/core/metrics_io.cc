@@ -59,8 +59,10 @@ percentilesJson(const stats::Histogram &histogram)
     for (int i = 0; i < 5; ++i) {
         if (i)
             out += ", ";
-        out += "\"" + std::string(names[i]) +
-            "_ms\": " + std::to_string(histogram.percentile(qs[i]) / 1e3);
+        out += '"';
+        out += names[i];
+        out += "_ms\": ";
+        out += std::to_string(histogram.percentile(qs[i]) / 1e3);
     }
     out += "}";
     return out;

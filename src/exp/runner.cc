@@ -14,6 +14,31 @@
 
 namespace cidre::exp {
 
+namespace {
+
+/** The engine of @p spec on @p config: its policy, one per cell. */
+core::ShardedEngine
+makeEngine(const TrialSpec &spec, const core::EngineConfig &config)
+{
+    return core::ShardedEngine(
+        spec.workload, config,
+        [&spec](const core::EngineConfig &cell_config) {
+            return policies::makePolicy(spec.policy, cell_config);
+        });
+}
+
+/** Simulate the prefix [0, fork_time) from t=0, cells on @p pool. */
+void
+simulatePrefix(core::ShardedEngine &engine, const TrialSpec &spec,
+               sim::ThreadPool *pool)
+{
+    engine.begin();
+    if (spec.fork_time > 0)
+        engine.stepUntil(spec.fork_time, pool);
+}
+
+} // namespace
+
 unsigned
 defaultJobs()
 {
@@ -75,77 +100,95 @@ ExperimentRunner::outerThreads() const
     return outer_pool_->threadCount();
 }
 
+void
+ExperimentRunner::forEachSpec(const std::vector<TrialSpec> &specs,
+                              const SpecBody &body)
+{
+    outer_pool_->parallelFor(
+        specs.size(), [&](std::size_t i, unsigned slot) {
+            if (!specs[i].workload.valid()) {
+                throw std::invalid_argument(
+                    "ExperimentRunner: spec " + std::to_string(i) + " (" +
+                    specs[i].label + ") has no workload");
+            }
+            body(i, inner_pools_.empty() ? nullptr
+                                         : inner_pools_[slot].get());
+        });
+}
+
 std::vector<TrialResult>
 ExperimentRunner::run(const std::vector<TrialSpec> &specs)
 {
     std::vector<TrialResult> results(specs.size());
     ProgressReporter progress(options_.progress, specs.size());
 
-    outer_pool_->parallelFor(
-        specs.size(), [&](std::size_t i, unsigned slot) {
-            const TrialSpec &spec = specs[i];
-            if (!spec.workload.valid()) {
-                throw std::invalid_argument(
-                    "ExperimentRunner: spec " + std::to_string(i) + " (" +
-                    spec.label + ") has no workload");
-            }
-            const auto started = std::chrono::steady_clock::now();
+    forEachSpec(specs, [&](std::size_t i, sim::ThreadPool *pool) {
+        const TrialSpec &spec = specs[i];
+        const auto started = std::chrono::steady_clock::now();
 
-            // Fork-protocol trials keep config.seed as given: the seed
-            // is part of the warm snapshot's fingerprint, so trials of
-            // one equivalence class must construct identically; their
-            // per-trial substream is injected by at_fork instead
-            // (keyed by the stable trial id).
-            const bool fork_trial =
-                spec.fork_time > 0 || spec.at_fork != nullptr;
-            core::EngineConfig config = spec.config;
-            if (!fork_trial) {
-                config.seed =
-                    sim::substreamSeed(spec.base_seed, spec.trial_index);
-            }
+        // Fork-protocol trials keep config.seed as given: the seed is
+        // part of the warm snapshot's fingerprint, so trials of one
+        // equivalence class must construct identically; their
+        // per-trial substream is injected by at_fork instead (keyed by
+        // the stable trial id).
+        const bool fork_trial = spec.fork_time > 0 || spec.at_fork != nullptr;
+        core::EngineConfig config = spec.config;
+        if (!fork_trial)
+            config.seed = sim::substreamSeed(spec.base_seed, spec.trial_index);
 
-            TrialResult &result = results[i];
-            core::ShardedEngine engine(
-                spec.workload, config,
-                [&spec](const core::EngineConfig &cell_config) {
-                    return policies::makePolicy(spec.policy, cell_config);
-                });
-            sim::ThreadPool *pool =
-                inner_pools_.empty() ? nullptr : inner_pools_[slot].get();
-            if (fork_trial) {
-                // Warm path: restore the prefix snapshot.  Cold path:
-                // simulate the prefix.  Both then apply the identical
-                // fork hook, so their suffixes are bit-identical.
-                if (spec.warm) {
-                    sim::StateReader reader(core::openCheckpointBuffer(
-                        *spec.warm, spec.warm_fingerprint));
-                    engine.loadState(reader);
-                } else {
-                    engine.begin();
-                    if (spec.fork_time > 0)
-                        engine.stepUntil(spec.fork_time, pool);
-                }
-                if (spec.at_fork)
-                    engine.forEachCell(spec.at_fork);
-                result.metrics = engine.finish(pool);
+        TrialResult &result = results[i];
+        core::ShardedEngine engine = makeEngine(spec, config);
+        if (fork_trial) {
+            // Warm path: restore the prefix snapshot.  Cold path:
+            // simulate the prefix.  Both then apply the identical fork
+            // hook, so their suffixes are bit-identical.
+            if (spec.warm) {
+                sim::StateReader reader(core::openCheckpointBuffer(
+                    *spec.warm, spec.warm_fingerprint));
+                engine.loadState(reader);
             } else {
-                // Shard threads only affect wall-clock; the substream
-                // space stays 2-D and positional — cell c of trial t
-                // runs on substreamSeed(substreamSeed(base, t), c).
-                result.metrics = engine.run(pool, pin_cpus_);
+                simulatePrefix(engine, spec, pool);
             }
-            result.events_executed = engine.eventsExecuted();
-            result.spec_index = i;
-            result.label = spec.label;
-            result.seed = config.seed;
-            result.wall_ms =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - started)
-                    .count();
-            progress.trialDone(result.label, result.wall_ms,
-                               result.events_executed);
-        });
+            if (spec.at_fork)
+                engine.forEachCell(spec.at_fork);
+            result.metrics = engine.finish(pool);
+        } else {
+            // Shard threads only affect wall-clock; the substream space
+            // stays 2-D and positional — cell c of trial t runs on
+            // substreamSeed(substreamSeed(base, t), c).
+            result.metrics = engine.run(pool, pin_cpus_);
+        }
+        result.events_executed = engine.eventsExecuted();
+        result.spec_index = i;
+        result.label = spec.label;
+        result.seed = config.seed;
+        result.wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - started)
+                             .count();
+        progress.trialDone(result.label, result.wall_ms,
+                           result.events_executed);
+    });
     return results;
+}
+
+std::vector<std::shared_ptr<const core::CheckpointBuffer>>
+ExperimentRunner::snapshots(const std::vector<TrialSpec> &specs)
+{
+    std::vector<std::shared_ptr<const core::CheckpointBuffer>> buffers(
+        specs.size());
+    forEachSpec(specs, [&](std::size_t i, sim::ThreadPool *pool) {
+        const TrialSpec &spec = specs[i];
+        core::ShardedEngine engine = makeEngine(spec, spec.config);
+        simulatePrefix(engine, spec, pool);
+        sim::StateWriter writer;
+        engine.saveState(writer);
+        buffers[i] = std::make_shared<const core::CheckpointBuffer>(
+            core::makeCheckpointBuffer(
+                core::checkpointFingerprint(spec.config, spec.policy,
+                                            spec.workload),
+                writer.release()));
+    });
+    return buffers;
 }
 
 core::RunMetrics

@@ -128,7 +128,8 @@ struct TrialSpec
 
     /**
      * Warm snapshot of the prefix: engine state saved at fork_time by a
-     * run with this spec's config and policy.  Null = cold path
+     * run with this spec's config and policy (what
+     * ExperimentRunner::snapshots() builds).  Null = cold path
      * (simulate the prefix).  Shared read-only across the trials of an
      * equivalence class.
      */
@@ -229,6 +230,23 @@ class ExperimentRunner
      */
     std::vector<TrialResult> run(const std::vector<TrialSpec> &specs);
 
+    /**
+     * Simulate the warm-up prefix [0, fork_time) of every spec under
+     * its own config (seed as given), policy and workload, and freeze
+     * each into a sealed in-memory checkpoint, returned in submission
+     * order.  Specs fan across the outer pool like run()'s trials, and
+     * each build steps its cells on its slot's inner pool exactly as
+     * run() steps a cold fork trial's prefix.  A snapshot depends on
+     * its spec alone, never on the thread that built it, so a buffer
+     * restored as TrialSpec::warm (with fingerprint
+     * core::checkpointFingerprint(config, policy, workload)) yields the
+     * cold trial's metrics byte for byte.  at_fork, warm, base_seed
+     * and trial_index are ignored.  Rethrows the first (by submission
+     * index) build failure.
+     */
+    std::vector<std::shared_ptr<const core::CheckpointBuffer>>
+    snapshots(const std::vector<TrialSpec> &specs);
+
     /** Threads fanning trials (the outer pool). */
     unsigned outerThreads() const;
     /** Threads applied inside each sharded trial (post-clamp). */
@@ -237,6 +255,17 @@ class ExperimentRunner
     const std::vector<int> &pinCpus() const { return pin_cpus_; }
 
   private:
+    /** Body of a fan-out: spec index and the slot's inner pool. */
+    using SpecBody = std::function<void(std::size_t, sim::ThreadPool *)>;
+
+    /**
+     * Run body over every spec on the outer pool, handing each the
+     * inner pool of its slot (nullptr when cells run serially).
+     * Rejects specs without a workload.
+     */
+    void forEachSpec(const std::vector<TrialSpec> &specs,
+                     const SpecBody &body);
+
     RunnerOptions options_;
     unsigned shard_threads_ = 1;
     /** CPU per cell, per options_.pin (empty = unpinned). */

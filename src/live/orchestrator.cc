@@ -22,13 +22,16 @@ runLive(core::ShardedEngine &engine, IngestRing &ring,
     unsigned idle_polls = 0;
     const auto loop_start = Clock::now();
     for (;;) {
-        const std::size_t n = ring.drain(batch.data(), batch.size());
-        if (n == 0) {
+        std::size_t n = ring.drain(batch.data(), batch.size());
+        if (n == 0 && producers_done.load(std::memory_order_acquire)) {
             // Check done *before* the re-drain: the flag is set after
-            // the final push, so an empty re-drain proves completion.
-            if (producers_done.load(std::memory_order_acquire) &&
-                ring.drain(batch.data(), batch.size()) == 0)
+            // the final push, so an empty re-drain proves completion; a
+            // non-empty one holds the final pushes, admitted below.
+            n = ring.drain(batch.data(), batch.size());
+            if (n == 0)
                 break;
+        }
+        if (n == 0) {
             if (++idle_polls >= options.spin) {
                 idle_polls = 0;
                 std::this_thread::yield();

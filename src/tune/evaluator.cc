@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
 
 #include "core/checkpoint.h"
-#include "core/sharded_engine.h"
+#include "core/engine.h"
 #include "exp/telemetry.h"
-#include "policies/registry.h"
 #include "sim/rng.h"
-#include "sim/serialize.h"
 
 namespace cidre::tune {
 
@@ -104,34 +103,6 @@ TuneEvaluator::TuneEvaluator(const ParameterSpace &space,
         options_.objectives = parseObjectives("");
 }
 
-const TuneEvaluator::ClassSnapshot &
-TuneEvaluator::snapshotFor(const core::EngineConfig &config,
-                           std::uint64_t class_key)
-{
-    const auto found = snapshots_.find(class_key);
-    if (found != snapshots_.end())
-        return found->second;
-
-    // Simulate the class's shared prefix once, under the base policy,
-    // and freeze it.  Serial execution is fine: this runs once per
-    // shape class while the forked suffixes run once per trial.
-    ClassSnapshot snapshot;
-    snapshot.fingerprint = core::checkpointFingerprint(
-        config, options_.base_policy, workload_);
-    core::ShardedEngine engine(
-        workload_, config, [this](const core::EngineConfig &cell_config) {
-            return policies::makePolicy(options_.base_policy, cell_config);
-        });
-    engine.begin();
-    engine.stepUntil(options_.fork_time, nullptr);
-    sim::StateWriter writer;
-    engine.saveState(writer);
-    snapshot.buffer = std::make_shared<const core::CheckpointBuffer>(
-        core::makeCheckpointBuffer(snapshot.fingerprint, writer.release()));
-    ++snapshots_built_;
-    return snapshots_.emplace(class_key, std::move(snapshot)).first->second;
-}
-
 exp::TrialSpec
 TuneEvaluator::makeSpec(const Point &point, std::uint64_t id)
 {
@@ -169,35 +140,64 @@ TuneEvaluator::makeSpec(const Point &point, std::uint64_t id)
         engine.reseed(sim::substreamSeed(trial_seed, cell));
     };
 
-    if (options_.warm && options_.fork_time > 0) {
-        const ClassSnapshot &snapshot =
-            snapshotFor(config, space_.classKey(point));
-        spec.warm = snapshot.buffer;
-        spec.warm_fingerprint = snapshot.fingerprint;
-    }
     return spec;
+}
+
+void
+TuneEvaluator::attachSnapshots(std::vector<exp::TrialSpec> &specs,
+                               const std::vector<const Point *> &points)
+{
+    // Collect, in first-seen order, the shape classes the batch needs
+    // and the cache lacks, and simulate all their prefixes in one
+    // runner call: the classes run side by side on the runner's
+    // threads instead of one after another.
+    std::vector<std::uint64_t> keys(specs.size());
+    std::vector<std::uint64_t> missing;
+    std::vector<exp::TrialSpec> prefixes;
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+        keys[k] = space_.classKey(*points[k]);
+        if (snapshots_.count(keys[k]) == 0 &&
+            std::find(missing.begin(), missing.end(), keys[k]) ==
+                missing.end()) {
+            missing.push_back(keys[k]);
+            prefixes.push_back(specs[k]);
+        }
+    }
+    const auto buffers = runner_.snapshots(prefixes);
+    for (std::size_t j = 0; j < buffers.size(); ++j)
+        snapshots_.emplace(missing[j], buffers[j]);
+    snapshots_built_ += buffers.size();
+
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+        exp::TrialSpec &spec = specs[k];
+        spec.warm = snapshots_.at(keys[k]);
+        spec.warm_fingerprint = core::checkpointFingerprint(
+            spec.config, spec.policy, spec.workload);
+    }
 }
 
 std::vector<Observation>
 TuneEvaluator::evaluate(const std::vector<Point> &batch)
 {
-    // Collect the points this batch actually has to simulate: not in
-    // the result cache and not repeated within the batch.
+    // Build a spec for every point this batch has to simulate (not in
+    // the result cache, not repeated within the batch) before running
+    // anything: makeSpec validates, so an inapplicable knob anywhere in
+    // the batch throws before any prefix runs or any cache entry
+    // exists.
     std::vector<std::uint64_t> ids(batch.size());
+    std::unordered_set<std::uint64_t> fresh;
     std::vector<exp::TrialSpec> specs;
-    std::vector<std::uint64_t> spec_ids;
     std::vector<const Point *> spec_points;
     for (std::size_t i = 0; i < batch.size(); ++i) {
         ids[i] = space_.pointId(batch[i]);
-        if (by_id_.count(ids[i]) != 0)
+        if (by_id_.count(ids[i]) != 0 || !fresh.insert(ids[i]).second)
             continue;
-        exp::TrialSpec spec = makeSpec(batch[i], ids[i]); // may throw
-        by_id_.emplace(ids[i], outcomes_.size());
-        outcomes_.emplace_back(); // reserved; filled after the run
-        specs.push_back(std::move(spec));
-        spec_ids.push_back(ids[i]);
+        specs.push_back(makeSpec(batch[i], ids[i])); // may throw
         spec_points.push_back(&batch[i]);
     }
+
+    if (options_.warm && options_.fork_time > 0)
+        attachSnapshots(specs, spec_points);
 
     // Run in fixed-size chunks so long batches stay observable through
     // the heartbeat.  Chunking cannot change results: trials are
@@ -211,14 +211,15 @@ TuneEvaluator::evaluate(const std::vector<Point> &batch)
             specs.begin() + static_cast<std::ptrdiff_t>(start + count));
         const std::vector<exp::TrialResult> results = runner_.run(chunk);
         for (std::size_t j = 0; j < results.size(); ++j) {
-            const std::uint64_t id = spec_ids[start + j];
-            TrialOutcome &outcome = outcomes_[by_id_.at(id)];
+            TrialOutcome outcome;
             outcome.point = *spec_points[start + j];
-            outcome.id = id;
+            outcome.id = chunk[j].trial_index;
             outcome.label = chunk[j].label;
             outcome.metrics = results[j].metrics;
             outcome.objectives =
                 objectivesOf(outcome.metrics, options_.objectives);
+            by_id_.emplace(outcome.id, outcomes_.size());
+            outcomes_.push_back(std::move(outcome));
             ++trials_run_;
         }
         if (options_.heartbeat != nullptr)

@@ -15,6 +15,13 @@
  * files, no file I/O), and every trial of the class *forks* from the
  * snapshot: restore, apply the trial's fork knobs, run the suffix.
  *
+ * evaluate() first validates every new point of the batch, so an
+ * inapplicable knob throws before anything is simulated or cached.
+ * Then all classes the batch needs and the snapshot cache lacks are
+ * simulated together, side by side on the runner's threads
+ * (exp::ExperimentRunner::snapshots), and only then do the trials run.
+ * Snapshots stay cached across evaluate() calls.
+ *
  * Restoring is bit-identical to simulating the prefix (the checkpoint
  * contract, pinned by the warm-equivalence goldens), and both paths
  * apply the identical fork hook, so warm-forked metrics equal cold
@@ -135,7 +142,9 @@ class TuneEvaluator
     /**
      * Evaluate a driver batch and return observations in batch order.
      * Points already evaluated (this batch or earlier) are served from
-     * the result cache without re-simulation.
+     * the result cache without re-simulation.  Throws
+     * std::invalid_argument, before simulating anything, if any new
+     * point of the batch is invalid; neither cache changes then.
      */
     std::vector<Observation> evaluate(const std::vector<Point> &batch);
 
@@ -149,17 +158,15 @@ class TuneEvaluator
     std::size_t trialsRun() const { return trials_run_; }
 
   private:
-    struct ClassSnapshot
-    {
-        std::shared_ptr<const core::CheckpointBuffer> buffer;
-        std::uint64_t fingerprint = 0;
-    };
-
-    /** Build (or fetch) the warm snapshot of a shape class. */
-    const ClassSnapshot &snapshotFor(const core::EngineConfig &config,
-                                     std::uint64_t class_key);
-
+    /** The validated cold fork spec of @p point (simulates nothing). */
     exp::TrialSpec makeSpec(const Point &point, std::uint64_t id);
+
+    /**
+     * Point every spec at its class's warm snapshot, building all the
+     * missing ones in one runner call.  @p points[k] is specs[k]'s point.
+     */
+    void attachSnapshots(std::vector<exp::TrialSpec> &specs,
+                         const std::vector<const Point *> &points);
 
     const ParameterSpace &space_;
     trace::TraceView workload_;
@@ -170,7 +177,9 @@ class TuneEvaluator
     /** Point id -> index into outcomes_. */
     std::unordered_map<std::uint64_t, std::size_t> by_id_;
     /** Class key -> shared warm snapshot. */
-    std::unordered_map<std::uint64_t, ClassSnapshot> snapshots_;
+    std::unordered_map<std::uint64_t,
+                       std::shared_ptr<const core::CheckpointBuffer>>
+        snapshots_;
     std::size_t snapshots_built_ = 0;
     std::size_t trials_run_ = 0;
 };

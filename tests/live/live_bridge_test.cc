@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
 #include <stdexcept>
@@ -25,6 +26,7 @@
 #include "live/orchestrator.h"
 #include "live/producer.h"
 #include "policies/registry.h"
+#include "sim/topology.h"
 #include "tests/core/test_helpers.h"
 #include "trace/generators.h"
 
@@ -205,6 +207,49 @@ TEST(LiveBridge, OrchestratorClampsOutOfOrderArrivals)
     // Only streamed admissions count: the trace is a function table in
     // live mode, its recorded requests are never scheduled.
     EXPECT_EQ(metrics.total(), 3u);
+}
+
+/**
+ * A push that lands between the loop's empty drain and its done check
+ * is returned by the final re-drain, and must be admitted, not dropped.
+ * Racing many one-request streams against the loop hits that window;
+ * cycling the two threads over every CPU pair makes sure the pairs
+ * where it opens widest are among them (pins are best-effort).
+ */
+TEST(LiveBridge, FinalRedrainAdmitsTheLastPush)
+{
+    trace::Trace t;
+    const auto fn = test::addFunction(t, 256, sim::msec(100));
+    t.addRequest(fn, 0, sim::msec(10)); // live engines need >= 1 request
+    t.seal();
+    core::EngineConfig config = test::smallConfig();
+    config.record_per_request = false;
+
+    const int cpus =
+        static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+    std::size_t lost = 0;
+    for (int stream = 0; stream < 3000; ++stream) {
+        core::ShardedEngine engine(t, config, factoryFor("ttl"));
+        engine.beginLive();
+        live::IngestRing ring(8);
+        std::atomic<bool> done{false};
+        const int producer_cpu = (stream / cpus) % cpus;
+        std::thread producer([&ring, &done, fn, producer_cpu] {
+            sim::ScopedAffinity pin(producer_cpu);
+            std::atomic<std::uint64_t> backpressure{0};
+            ring.pushBlocking({fn, sim::msec(1), sim::msec(10)},
+                              backpressure);
+            done.store(true, std::memory_order_release);
+        });
+        live::OrchestratorOptions options;
+        options.pin_cpu = stream % cpus;
+        const live::LiveStats stats =
+            live::runLive(engine, ring, done, options);
+        producer.join();
+        if (stats.admitted != 1)
+            ++lost;
+    }
+    EXPECT_EQ(lost, 0u) << "streams whose only request was never admitted";
 }
 
 TEST(LiveBridge, LiveModeGuards)

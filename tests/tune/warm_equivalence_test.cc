@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -62,17 +63,20 @@ metricsById(const TuneEvaluator &evaluator)
 /** Evaluate the full grid of @p spec and fingerprint every trial. */
 std::map<std::uint64_t, std::string>
 sweepFingerprint(const std::string &spec, const std::string &base_policy,
-                 bool warm, unsigned jobs, std::size_t classes = 1)
+                 bool warm, unsigned jobs, std::size_t classes = 1,
+                 core::EngineConfig config = sweepConfig(),
+                 unsigned shards = 1)
 {
     const ParameterSpace space = ParameterSpace::parse(spec);
     const trace::TraceView view(sweepTrace());
 
     TuneOptions options;
     options.base_policy = base_policy;
-    options.base_config = sweepConfig();
+    options.base_config = config;
     options.fork_time = view.duration() / 2;
     options.warm = warm;
     options.runner.jobs = jobs;
+    options.runner.shards = shards;
 
     TuneEvaluator evaluator(space, view, options);
     const auto driver = makeDriver("grid", space, 0, 1);
@@ -99,59 +103,29 @@ TEST(WarmEquivalence, SingleCellWarmForkEqualsColdReplay)
 
 TEST(WarmEquivalence, ShardedWarmForkEqualsColdReplay)
 {
-    const ParameterSpace space =
-        ParameterSpace::parse("cip-weight=0.5|2,te-percentile=0.5|0.9");
-    const trace::TraceView view(sweepTrace());
-
+    const std::string spec = "cip-weight=0.5|2,te-percentile=0.5|0.9";
     core::EngineConfig config = sweepConfig();
     config.cluster.workers = 4;
     config.cluster.total_memory_mb = 32 * 1024;
     config.shard_cells = 2;
 
-    std::map<std::uint64_t, std::string> fingerprints[2];
-    for (const bool warm : {true, false}) {
-        TuneOptions options;
-        options.base_policy = "cidre";
-        options.base_config = config;
-        options.fork_time = view.duration() / 2;
-        options.warm = warm;
-
-        TuneEvaluator evaluator(space, view, options);
-        const auto driver = makeDriver("grid", space, 0, 1);
-        for (;;) {
-            const std::vector<Point> batch = driver->nextBatch();
-            if (batch.empty())
-                break;
-            driver->report(evaluator.evaluate(batch));
-        }
-        fingerprints[warm ? 0 : 1] = metricsById(evaluator);
-    }
-    ASSERT_EQ(fingerprints[0].size(), 4u);
-    EXPECT_EQ(fingerprints[0], fingerprints[1]);
+    const auto cold = sweepFingerprint(spec, "cidre", false, 1, 1, config);
+    ASSERT_EQ(cold.size(), 4u);
+    // Serial cells, then cells stepped on a 2-thread inner pool: the
+    // prefix a snapshot freezes must not depend on either.
+    EXPECT_EQ(sweepFingerprint(spec, "cidre", true, 1, 1, config), cold);
+    EXPECT_EQ(sweepFingerprint(spec, "cidre", true, 2, 1, config, 2), cold);
 }
 
 TEST(WarmEquivalence, MixedShapeClassesEachGetOneSnapshot)
 {
-    const ParameterSpace space =
-        ParameterSpace::parse("cache-gb=24|32,ttl-sec=60|300");
-    const trace::TraceView view(sweepTrace());
-
-    TuneOptions options;
-    options.base_policy = "ttl";
-    options.base_config = sweepConfig();
-    options.fork_time = view.duration() / 2;
-
-    TuneEvaluator evaluator(space, view, options);
-    const auto driver = makeDriver("grid", space, 0, 1);
-    for (;;) {
-        const std::vector<Point> batch = driver->nextBatch();
-        if (batch.empty())
-            break;
-        driver->report(evaluator.evaluate(batch));
-    }
-    EXPECT_EQ(evaluator.trialsRun(), 4u);
-    EXPECT_EQ(evaluator.snapshotsBuilt(), 2u)
-        << "one warm prefix per cache-gb class";
+    // Two cache-gb classes, so one batch builds two prefixes at once;
+    // at 4 jobs they are simulated side by side.
+    const std::string spec = "cache-gb=24|32,ttl-sec=60|300";
+    const auto warm = sweepFingerprint(spec, "ttl", true, 4, 2);
+    const auto cold = sweepFingerprint(spec, "ttl", false, 1, 2);
+    ASSERT_EQ(warm.size(), 4u);
+    EXPECT_EQ(warm, cold);
 }
 
 // ---- stable-id substreams (the --jobs determinism property) -------------
@@ -187,6 +161,36 @@ TEST(StableSubstreams, SubmissionOrderDoesNotChangeAnyTrial)
     reversed.evaluate({{1}, {0}});
 
     EXPECT_EQ(metricsById(forward), metricsById(reversed));
+}
+
+TEST(EvaluatorCache, InvalidPointFailsTheBatchBeforeAnythingRuns)
+{
+    // The grid batch is {policy=ttl, policy=cidre}; ttl-sec does not
+    // apply to cidre, so the second point is invalid.
+    const ParameterSpace space =
+        ParameterSpace::parse("policy=ttl|cidre,ttl-sec=60");
+    const trace::TraceView view(sweepTrace());
+
+    TuneOptions options;
+    options.base_policy = "ttl";
+    options.base_config = sweepConfig();
+    options.fork_time = view.duration() / 2;
+
+    TuneEvaluator evaluator(space, view, options);
+    const std::vector<Point> batch =
+        makeDriver("grid", space, 0, 1)->nextBatch();
+    ASSERT_EQ(batch.size(), 2u);
+    EXPECT_THROW(evaluator.evaluate(batch), std::invalid_argument);
+    EXPECT_EQ(evaluator.snapshotsBuilt(), 0u) << "no prefix may run";
+    EXPECT_EQ(evaluator.trialsRun(), 0u);
+    EXPECT_TRUE(evaluator.outcomes().empty());
+
+    // The failed batch cached nothing, so its valid point really runs.
+    const auto retry = evaluator.evaluate({batch.front()});
+    EXPECT_EQ(evaluator.trialsRun(), 1u);
+    EXPECT_EQ(evaluator.snapshotsBuilt(), 1u);
+    ASSERT_EQ(retry.size(), 1u);
+    EXPECT_EQ(retry[0].objectives.size(), 2u);
 }
 
 TEST(EvaluatorCache, RepeatedPointsDoNotRerun)
