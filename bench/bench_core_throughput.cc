@@ -1,19 +1,15 @@
 /**
  * @file
- * Core simulation throughput: the pooled event queue vs the legacy
- * allocating design, plus whole-engine events/sec across trace scales.
+ * Core simulation throughput: the pooled event queue on its own, plus
+ * whole-engine events/sec across trace scales.
  *
- * Two sections:
+ * Sections:
  *
  *  1. A queue-only microbenchmark replaying a trace-shaped event stream
  *     (chained arrivals, completion events whose lambdas capture
  *     owner + two ids exactly like core::Engine's, periodic timeouts
  *     that are cancelled when the completion beats them, and a 1-second
- *     maintenance tick) through (a) a faithful copy of the pre-pool
- *     EventQueue — std::priority_queue + unordered_map<id,
- *     std::function> — and (b) the current sim::EventQueue.  The same
- *     deterministic stream runs through both, so the speedup is
- *     apples-to-apples at any commit.
+ *     maintenance tick) through sim::EventQueue.
  *
  *  2. Engine end-to-end events/sec for a few policies × trace scales,
  *     using Engine::eventsExecuted() (the same figure the [exp]
@@ -50,13 +46,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <iostream>
-#include <queue>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "bench/common.h"
@@ -73,88 +66,12 @@ namespace cidre::bench {
 namespace {
 
 /**
- * Verbatim re-creation of the event queue this PR replaced: lazy
- * cancellation, one unordered_map node per event, std::function
- * callback storage.  Kept here (not in src/) so the comparison baseline
- * survives in-tree without polluting the simulator.
- */
-class LegacyEventQueue
-{
-  public:
-    using Callback = std::function<void(sim::SimTime)>;
-    using EventId = std::uint64_t;
-
-    EventId schedule(sim::SimTime when, Callback cb)
-    {
-        const EventId id = next_id_++;
-        heap_.push(Entry{when, id});
-        callbacks_.emplace(id, std::move(cb));
-        return id;
-    }
-
-    EventId scheduleAfter(sim::SimTime delay, Callback cb)
-    {
-        return schedule(now_ + delay, std::move(cb));
-    }
-
-    void cancel(EventId id) { callbacks_.erase(id); }
-
-    bool runNext()
-    {
-        while (!heap_.empty() && !callbacks_.count(heap_.top().id))
-            heap_.pop();
-        if (heap_.empty())
-            return false;
-        const Entry entry = heap_.top();
-        heap_.pop();
-        auto node = callbacks_.extract(entry.id);
-        now_ = entry.when;
-        ++executed_;
-        node.mapped()(now_);
-        return true;
-    }
-
-    std::size_t runAll()
-    {
-        std::size_t count = 0;
-        while (runNext())
-            ++count;
-        return count;
-    }
-
-    sim::SimTime now() const { return now_; }
-    std::uint64_t executedCount() const { return executed_; }
-
-  private:
-    struct Entry
-    {
-        sim::SimTime when;
-        EventId id;
-        bool operator>(const Entry &other) const
-        {
-            if (when != other.when)
-                return when > other.when;
-            return id > other.id;
-        }
-    };
-
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
-        heap_;
-    std::unordered_map<EventId, Callback> callbacks_;
-    sim::SimTime now_ = 0;
-    EventId next_id_ = 1;
-    std::uint64_t executed_ = 0;
-};
-
-/**
- * Replays the trace through a queue the way core::Engine drives it:
- * each arrival chains the next one and schedules a completion whose
+ * Replays the trace through the event queue the way core::Engine drives
+ * it: each arrival chains the next one and schedules a completion whose
  * lambda captures (driver pointer, u32, u64) — the same 24-byte shape
- * as the engine's [this, cid, request_index] captures, which is what
- * defeats libstdc++ std::function's 16-byte inline buffer.  Every 8th
+ * as the engine's [this, cid, request_index] captures.  Every 8th
  * request also arms a timeout event that the completion cancels.
  */
-template <class Queue>
 class TraceDriver
 {
   public:
@@ -190,7 +107,7 @@ class TraceDriver
         const trace::Request &request = workload_.requests()[index];
         const std::uint32_t container =
             static_cast<std::uint32_t>(index % 4096);
-        typename Queue::EventId timeout = 0;
+        sim::EventQueue::EventId timeout = 0;
         if (index % 8 == 0) {
             timeout = queue_.schedule(
                 now + request.exec_us + sim::sec(2),
@@ -213,7 +130,7 @@ class TraceDriver
     }
 
     const trace::Trace &workload_;
-    Queue queue_;
+    sim::EventQueue queue_;
     std::uint64_t completed_ = 0;
     std::uint64_t timeouts_ = 0;
 };
@@ -226,13 +143,12 @@ struct QueueRun
     double ns_per_event = 0.0;
 };
 
-template <class Queue>
 QueueRun
 measureQueue(const trace::Trace &workload, int reps)
 {
     QueueRun best;
     for (int rep = 0; rep < reps; ++rep) {
-        TraceDriver<Queue> driver(workload);
+        TraceDriver driver(workload);
         const auto started = std::chrono::steady_clock::now();
         const std::uint64_t events = driver.run();
         const double wall_ms =
@@ -493,32 +409,20 @@ main(int argc, char **argv)
     // including that section (the per-size isolation lives in
     // bench_out_of_core, which forks one process per measurement).
     const int reps = 5;
-    QueueRun legacy;
     QueueRun pooled;
-    double speedup = 0.0;
     std::int64_t rss_queue_mb = -1;
     if (!smoke) {
-        std::cerr << "[bench] replaying event stream through legacy queue ("
+        std::cerr << "[bench] replaying event stream through pooled queue ("
                   << reps << " reps, best kept)...\n";
-        legacy = measureQueue<LegacyEventQueue>(reference, reps);
-        std::cerr << "[bench] replaying event stream through pooled "
-                     "queue...\n";
-        pooled = measureQueue<sim::EventQueue>(reference, reps);
-        speedup = pooled.events_per_sec / legacy.events_per_sec;
+        pooled = measureQueue(reference, reps);
 
         stats::Table queue_table({"queue", "events", "wall_ms",
                                   "events_per_sec", "ns_per_event"});
-        queue_table.addRow({"legacy", std::to_string(legacy.events),
-                            stats::formatFixed(legacy.wall_ms, 1),
-                            stats::formatFixed(legacy.events_per_sec, 0),
-                            stats::formatFixed(legacy.ns_per_event, 1)});
         queue_table.addRow({"pooled", std::to_string(pooled.events),
                             stats::formatFixed(pooled.wall_ms, 1),
                             stats::formatFixed(pooled.events_per_sec, 0),
                             stats::formatFixed(pooled.ns_per_event, 1)});
         emit(options, "core_throughput_queue", queue_table);
-        std::cout << "pooled/legacy speedup: "
-                  << stats::formatFixed(speedup, 2) << "x\n";
         rss_queue_mb = exp::peakRssMb();
     }
 
@@ -693,18 +597,11 @@ main(int argc, char **argv)
          << reference.requestCount() << "},\n";
     if (!smoke) {
         json << "  \"queue\": {\n"
-             << "    \"legacy\": {\"events\": " << legacy.events
-             << ", \"wall_ms\": " << legacy.wall_ms
-             << ", \"events_per_sec\": " << legacy.events_per_sec
-             << ", \"ns_per_event\": " << legacy.ns_per_event << "},\n"
              << "    \"pooled\": {\"events\": " << pooled.events
              << ", \"wall_ms\": " << pooled.wall_ms
              << ", \"events_per_sec\": " << pooled.events_per_sec
-             << ", \"ns_per_event\": " << pooled.ns_per_event << "},\n";
-        json.precision(2);
-        json << "    \"speedup\": " << speedup << ",\n"
+             << ", \"ns_per_event\": " << pooled.ns_per_event << "},\n"
              << "    \"peak_rss_mb\": " << rss_queue_mb << "\n  },\n";
-        json.precision(1);
     }
     json << "  \"engine\": [\n";
     for (std::size_t i = 0; i < engine_runs.size(); ++i) {

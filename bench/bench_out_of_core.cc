@@ -269,8 +269,10 @@ main(int argc, char **argv)
                         "replay_ms", "events_per_sec", "peak_rss_mb"});
     bool failed = false;
     for (const std::uint64_t k : multipliers) {
-        const std::string image_path =
-            (scratch / ("x" + std::to_string(k) + ".ctrb")).string();
+        std::string image_name = "x";
+        image_name += std::to_string(k);
+        image_name += ".ctrb";
+        const std::string image_path = (scratch / image_name).string();
 
         // Stream-merge k time-shifted copies of the base image through
         // the same code path `cidre_sim synth` uses.

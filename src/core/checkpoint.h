@@ -48,9 +48,11 @@ static_assert(sizeof(CheckpointHeader) == 40,
 /**
  * Bumped whenever a payload layout changes.  Since version 2 a `run`
  * checkpoint is the driver's simulated time followed by
- * ShardedEngine::saveState, whatever the cell count.
+ * ShardedEngine::saveState, whatever the cell count.  Version 3 stores
+ * RunMetrics' distributions as integer-µs stats::LatencyHistogram
+ * state.
  */
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /**
  * Digest of the run configuration a checkpoint belongs to: engine

@@ -25,11 +25,6 @@ startTypeName(StartType type)
     throw std::invalid_argument("startTypeName: bad type");
 }
 
-RunMetrics::RunMetrics()
-    : overhead_us_(0.01), e2e_us_(0.01)
-{
-}
-
 void
 RunMetrics::recordStart(StartType type, sim::SimTime wait_us,
                         sim::SimTime exec_us)
@@ -39,9 +34,10 @@ RunMetrics::recordStart(StartType type, sim::SimTime wait_us,
     const auto wait = static_cast<double>(wait_us);
     const auto exec = static_cast<double>(exec_us);
     wait_by_type_[idx].add(wait);
-    overhead_all_.add(wait);
-    overhead_us_.add(wait);
-    e2e_us_.add(wait + exec);
+    // Trace and Engine::admit reject negative times, so these casts
+    // keep every value.
+    overhead_us_.record(static_cast<std::uint64_t>(wait_us));
+    e2e_us_.record(static_cast<std::uint64_t>(wait_us + exec_us));
     // Overhead ratio definition from §2.4: wait / (wait + exec).  A
     // zero-duration request with zero wait counts as 0 overhead.
     overhead_ratio_.add(wait + exec > 0.0 ? wait / (wait + exec) : 0.0);
@@ -88,7 +84,6 @@ RunMetrics::mergeAggregates(const RunMetrics &other)
         wait_by_type_[i].merge(other.wait_by_type_[i]);
     }
     overhead_ratio_.merge(other.overhead_ratio_);
-    overhead_all_.merge(other.overhead_all_);
     overhead_us_.merge(other.overhead_us_);
     e2e_us_.merge(other.e2e_us_);
 
@@ -168,7 +163,7 @@ RunMetrics::avgOverheadRatioPct() const
 double
 RunMetrics::avgOverheadMs() const
 {
-    return overhead_all_.mean() / 1e3;
+    return overhead_us_.mean() / 1e3;
 }
 
 double
@@ -209,7 +204,6 @@ RunMetrics::saveState(sim::StateWriter &writer) const
     for (const stats::OnlineSummary &summary : wait_by_type_)
         summary.saveState(writer);
     overhead_ratio_.saveState(writer);
-    overhead_all_.saveState(writer);
     overhead_us_.saveState(writer);
     e2e_us_.saveState(writer);
     writer.put(mb_time_integral_);
@@ -243,7 +237,6 @@ RunMetrics::loadState(sim::StateReader &reader)
     for (stats::OnlineSummary &summary : wait_by_type_)
         summary.loadState(reader);
     overhead_ratio_.loadState(reader);
-    overhead_all_.loadState(reader);
     overhead_us_.loadState(reader);
     e2e_us_.loadState(reader);
     mb_time_integral_ = reader.get<double>();

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "sim/time.h"
-#include "stats/histogram.h"
+#include "stats/latency_histogram.h"
 #include "stats/summary.h"
 #include "stats/timeseries.h"
 
@@ -71,8 +71,6 @@ struct RequestOutcome
 class RunMetrics
 {
   public:
-    RunMetrics();
-
     /** Record a request beginning execution. */
     void recordStart(StartType type, sim::SimTime wait_us,
                      sim::SimTime exec_us);
@@ -148,17 +146,27 @@ class RunMetrics
     /** Mean per-request wait/(wait+exec), as a percentage. */
     double avgOverheadRatioPct() const;
 
-    /** Mean invocation overhead in milliseconds. */
+    /** Mean invocation overhead in milliseconds (exact µs sum / count). */
     double avgOverheadMs() const;
 
     /** Mean wait of one start type, in milliseconds. */
     double avgWaitMs(StartType type) const;
 
-    /** Invocation overhead distribution (microseconds). */
-    const stats::Histogram &overheadHistogram() const { return overhead_us_; }
+    /**
+     * Invocation overhead (wait) distribution in integer microseconds.
+     * percentile(q) is within 1/128 above the exact order statistic;
+     * divide by 1e3 for milliseconds.
+     */
+    const stats::LatencyHistogram &overheadHistogram() const
+    {
+        return overhead_us_;
+    }
 
-    /** End-to-end service time distribution (microseconds). */
-    const stats::Histogram &e2eHistogram() const { return e2e_us_; }
+    /**
+     * End-to-end service time (wait + exec) distribution in integer
+     * microseconds, with the same error bound as overheadHistogram().
+     */
+    const stats::LatencyHistogram &e2eHistogram() const { return e2e_us_; }
 
     /** Time-averaged occupied memory, in GB. */
     double avgMemoryGb() const;
@@ -208,9 +216,8 @@ class RunMetrics
     std::array<stats::OnlineSummary,
                static_cast<std::size_t>(StartType::kCount)> wait_by_type_;
     stats::OnlineSummary overhead_ratio_;
-    stats::OnlineSummary overhead_all_;
-    stats::Histogram overhead_us_;
-    stats::Histogram e2e_us_;
+    stats::LatencyHistogram overhead_us_;
+    stats::LatencyHistogram e2e_us_;
 
     // Time-weighted memory integral.
     double mb_time_integral_ = 0.0;

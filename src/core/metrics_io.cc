@@ -49,7 +49,7 @@ class JsonObject
 };
 
 std::string
-percentilesJson(const stats::Histogram &histogram)
+percentilesJson(const stats::LatencyHistogram &histogram)
 {
     if (histogram.count() == 0)
         return "null";

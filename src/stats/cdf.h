@@ -5,7 +5,7 @@
  * Most paper figures are CDFs (Figs. 2, 3, 5, 6, 9, 10, 13, 14, 19); this
  * class retains every sample, sorts lazily, and answers percentile /
  * fraction-below queries exactly.  For multi-million-sample streams where
- * retention is too costly, use stats::Histogram instead.
+ * retention is too costly, use stats::LatencyHistogram instead.
  */
 
 #ifndef CIDRE_STATS_CDF_H

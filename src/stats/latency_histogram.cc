@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <stdexcept>
+
+#include "sim/serialize.h"
 
 namespace cidre::stats {
 
@@ -46,7 +49,10 @@ LatencyHistogram::record(std::uint64_t value, std::uint64_t count)
 {
     if (count == 0)
         return;
-    counts_[bucketIndex(value)] += count;
+    const std::size_t index = bucketIndex(value);
+    if (index >= counts_.size())
+        counts_.resize(index + 1, 0);
+    counts_[index] += count;
     total_ += count;
     sum_ += value * count;
     min_ = std::min(min_, value);
@@ -56,7 +62,9 @@ LatencyHistogram::record(std::uint64_t value, std::uint64_t count)
 void
 LatencyHistogram::merge(const LatencyHistogram &other)
 {
-    for (std::size_t i = 0; i < kBucketCount; ++i)
+    if (other.counts_.size() > counts_.size())
+        counts_.resize(other.counts_.size(), 0);
+    for (std::size_t i = 0; i < other.counts_.size(); ++i)
         counts_[i] += other.counts_[i];
     total_ += other.total_;
     sum_ += other.sum_;
@@ -82,12 +90,48 @@ LatencyHistogram::percentile(double q) const
         1, static_cast<std::uint64_t>(
                std::ceil(clamped * static_cast<double>(total_))));
     std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < kBucketCount; ++i) {
+    for (std::size_t i = 0; i < counts_.size(); ++i) {
         seen += counts_[i];
         if (seen >= rank)
             return std::min(bucketUpperBound(i), max_);
     }
     return max_;
+}
+
+void
+LatencyHistogram::saveState(sim::StateWriter &writer) const
+{
+    writer.put(total_);
+    writer.put(sum_);
+    writer.put(min_);
+    writer.put(max_);
+    writer.putVector(counts_);
+}
+
+void
+LatencyHistogram::loadState(sim::StateReader &reader)
+{
+    const auto total = reader.get<std::uint64_t>();
+    const auto sum = reader.get<std::uint64_t>();
+    const auto min = reader.get<std::uint64_t>();
+    const auto max = reader.get<std::uint64_t>();
+    std::vector<std::uint64_t> counts =
+        reader.getVector<std::uint64_t>();
+    if (counts.size() > kBucketCount)
+        throw std::runtime_error(
+            "LatencyHistogram: checkpoint has too many buckets");
+    std::uint64_t counted = 0;
+    for (const std::uint64_t c : counts)
+        counted += c;
+    if (counted != total)
+        throw std::runtime_error(
+            "LatencyHistogram: checkpoint bucket counts do not sum to"
+            " the total");
+    counts_ = std::move(counts);
+    total_ = total;
+    sum_ = sum;
+    min_ = min;
+    max_ = max;
 }
 
 } // namespace cidre::stats

@@ -1,26 +1,34 @@
 /**
  * @file
- * Fixed-footprint log-bucketed latency histogram (HDR-style).
+ * Log-bucketed integer histogram (HDR-style): the repo's only histogram.
  *
- * Built for the live orchestrator's per-decision latency: recording a
- * nanosecond sample is a handful of bit operations into a fixed array
- * (no allocation, no stored samples), histograms from different threads
- * or runs merge by bucket-wise addition, and any percentile is read
+ * It holds RunMetrics' invocation overhead and E2E time in integer
+ * microseconds and the live orchestrator's per-decision latency in
+ * nanoseconds.  Recording a sample is a handful of bit operations (no
+ * stored samples), histograms from different threads, cells or runs
+ * merge exactly by bucket-wise addition, and any percentile is read
  * back exact-to-bucket — the reported value is the *upper bound* of the
- * bucket holding the rank, so it never under-reports and is within one
- * bucket (\<= 1/32 relative error) of the true order statistic.
+ * bucket holding the rank, so it never under-reports and is at most
+ * 1/128 (0.78%) above the true order statistic.
  *
- * Bucket scheme: values below 32 get one bucket each (exact); above,
- * each power-of-two range splits into 32 equal sub-buckets, so the
- * relative bucket width is bounded by 1/32 everywhere.  The full
- * 64-bit value range fits in 1920 buckets (~15 KB of counters).
+ * Bucket scheme: values below 128 get one bucket each (exact); above,
+ * each power-of-two range splits into 128 equal sub-buckets, so the
+ * relative bucket width is bounded by 1/128 everywhere.  The full
+ * 64-bit value range fits in 7424 buckets, but counts are stored only
+ * up to the highest bucket used so far: µs latencies up to ~20 minutes
+ * need about 3,100 counters (~25 KB).
  */
 
 #ifndef CIDRE_STATS_LATENCY_HISTOGRAM_H
 #define CIDRE_STATS_LATENCY_HISTOGRAM_H
 
-#include <array>
 #include <cstdint>
+#include <vector>
+
+namespace cidre::sim {
+class StateReader;
+class StateWriter;
+} // namespace cidre::sim
 
 namespace cidre::stats {
 
@@ -29,13 +37,13 @@ class LatencyHistogram
 {
   public:
     /** Sub-buckets per power-of-two range (the precision knob). */
-    static constexpr unsigned kSubBucketBits = 5;
+    static constexpr unsigned kSubBucketBits = 7;
     static constexpr std::uint64_t kSubBuckets = 1ULL << kSubBucketBits;
     /** Total buckets covering the full 64-bit range. */
     static constexpr std::size_t kBucketCount =
         kSubBuckets + (64 - kSubBucketBits) * kSubBuckets;
 
-    /** Record @p count occurrences of @p value (typically nanoseconds). */
+    /** Record @p count occurrences of @p value (µs or ns). */
     void record(std::uint64_t value, std::uint64_t count = 1);
 
     /** Bucket-wise accumulate @p other into *this (associative). */
@@ -61,6 +69,14 @@ class LatencyHistogram
      */
     std::uint64_t percentile(double q) const;
 
+    /**
+     * Checkpoint/restore of the exact state.  loadState throws
+     * std::runtime_error on more than kBucketCount buckets, on counts
+     * that do not sum to the stored total, or on a truncated payload.
+     */
+    void saveState(sim::StateWriter &writer) const;
+    void loadState(sim::StateReader &reader);
+
     // ---- bucket introspection (tests) -----------------------------------
 
     /** Bucket index a value lands in. */
@@ -70,14 +86,9 @@ class LatencyHistogram
     static std::uint64_t bucketLowerBound(std::size_t index);
     static std::uint64_t bucketUpperBound(std::size_t index);
 
-    /** Raw count of bucket @p index. */
-    std::uint64_t bucketCount(std::size_t index) const
-    {
-        return counts_[index];
-    }
-
   private:
-    std::array<std::uint64_t, kBucketCount> counts_{};
+    /** Counts of buckets [0, highest used]; grows on demand. */
+    std::vector<std::uint64_t> counts_;
     std::uint64_t total_ = 0;
     std::uint64_t sum_ = 0;
     std::uint64_t min_ = UINT64_MAX;

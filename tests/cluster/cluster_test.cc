@@ -113,8 +113,9 @@ TEST(Cluster, RecyclesEvictedSlots)
         const ContainerId id = cl.createContainer(
             0, 0, 100, 1, ProvisionReason::Demand, sim::sec(i));
         EXPECT_EQ(cl.container(id).seq, static_cast<std::uint64_t>(i));
-        if (i > 0)
+        if (i > 0) {
             EXPECT_EQ(id, last); // LIFO reuse of the freed slot
+        }
         last = id;
         cl.destroyContainer(id);
     }

@@ -108,9 +108,10 @@ TEST(CheckpointFile, RejectsBadMagic)
 TEST(CheckpointFile, RejectsUnsupportedVersion)
 {
     // Version 1 is the format before the `run` payload dropped its
-    // engine-kind byte: an old file must fail as a version mismatch,
-    // not as a misleading payload error.
-    for (const std::uint32_t bogus : {kCheckpointVersion + 5, 1u}) {
+    // engine-kind byte, version 2 the one before RunMetrics stored
+    // integer-µs histograms: an old file must fail as a version
+    // mismatch, not as a misleading payload error.
+    for (const std::uint32_t bogus : {kCheckpointVersion + 5, 1u, 2u}) {
         const std::string path =
             sampleCheckpoint("cidre_ckpt_badversion.ckpt");
         std::vector<char> bytes = readAll(path);

@@ -3,6 +3,10 @@
  * Program-wide counting allocator backing tests/sim/alloc_counter.h.
  * Linking this file replaces the global operator new/delete for the
  * whole binary, so it must only ever be part of test_sim_alloc.
+ *
+ * The std::nothrow pair is replaced too (std::stable_sort's temporary
+ * buffer comes from it): left to the runtime, including a sanitizer's,
+ * its memory would be released through the std::free below.
  */
 
 #include "tests/sim/alloc_counter.h"
@@ -33,6 +37,19 @@ operator new[](std::size_t size)
     return ::operator new(size);
 }
 
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &tag) noexcept
+{
+    return ::operator new(size, tag);
+}
+
 void
 operator delete(void *p) noexcept
 {
@@ -53,6 +70,18 @@ operator delete(void *p, std::size_t) noexcept
 
 void
 operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
 {
     std::free(p);
 }

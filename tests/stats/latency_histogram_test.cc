@@ -1,9 +1,10 @@
 /**
  * @file
- * The log-bucketed latency histogram behind the live orchestrator's
- * decision-latency report: bucket-boundary exactness, merge
- * associativity, and percentile agreement (within one bucket) against
- * a sorted-vector reference on random samples.
+ * The log-bucketed histogram behind RunMetrics' overhead/E2E
+ * distributions and the live orchestrator's decision-latency report:
+ * bucket-boundary exactness, merge associativity, percentile agreement
+ * (within one bucket) against a sorted-vector reference on random
+ * samples, and the checkpoint round trip with its bounds checks.
  */
 
 #include <gtest/gtest.h>
@@ -11,9 +12,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/rng.h"
+#include "sim/serialize.h"
 #include "stats/latency_histogram.h"
 
 namespace cidre::stats {
@@ -33,15 +36,17 @@ TEST(LatencyHistogram, SmallValuesAreExact)
 {
     // Values below the sub-bucket count get a bucket each: recording
     // them is lossless, so every percentile is exact.
+    constexpr std::uint64_t n = LatencyHistogram::kSubBuckets;
     LatencyHistogram h;
-    for (std::uint64_t v = 0; v < 32; ++v)
+    for (std::uint64_t v = 0; v < n; ++v)
         h.record(v);
-    EXPECT_EQ(h.count(), 32u);
+    EXPECT_EQ(h.count(), n);
     EXPECT_EQ(h.minValue(), 0u);
-    EXPECT_EQ(h.maxValue(), 31u);
-    EXPECT_EQ(h.percentile(0.5), 15u);
-    EXPECT_EQ(h.percentile(1.0), 31u);
-    for (std::uint64_t v = 0; v < 32; ++v) {
+    EXPECT_EQ(h.maxValue(), n - 1);
+    EXPECT_EQ(h.mean(), static_cast<double>(n - 1) / 2.0);
+    EXPECT_EQ(h.percentile(0.5), n / 2 - 1);
+    EXPECT_EQ(h.percentile(1.0), n - 1);
+    for (std::uint64_t v = 0; v < n; ++v) {
         EXPECT_EQ(LatencyHistogram::bucketLowerBound(
                       LatencyHistogram::bucketIndex(v)),
                   v);
@@ -55,7 +60,8 @@ TEST(LatencyHistogram, BucketBoundsBracketEveryValue)
 {
     // Walk boundary-heavy values: powers of two, their neighbours, and
     // the sub-bucket edges around them.  Every value must land in a
-    // bucket whose bounds bracket it with <= 1/32 relative width.
+    // bucket whose bounds bracket it with <= 1/kSubBuckets relative
+    // width.
     std::vector<std::uint64_t> values;
     for (unsigned exp = 0; exp < 63; ++exp) {
         const std::uint64_t base = std::uint64_t{1} << exp;
@@ -75,9 +81,10 @@ TEST(LatencyHistogram, BucketBoundsBracketEveryValue)
         // same bucket, and the width obeys the resolution contract.
         EXPECT_EQ(LatencyHistogram::bucketIndex(lo), index) << v;
         EXPECT_EQ(LatencyHistogram::bucketIndex(hi), index) << v;
-        if (v >= 32)
-            EXPECT_LE(hi - lo + 1, std::max<std::uint64_t>(1, lo / 32))
+        if (v >= LatencyHistogram::kSubBuckets) {
+            EXPECT_LE(hi - lo + 1, lo / LatencyHistogram::kSubBuckets)
                 << v;
+        }
     }
 }
 
@@ -170,6 +177,102 @@ TEST(LatencyHistogram, WeightedRecordMatchesRepeatedRecord)
     EXPECT_EQ(repeated.mean(), weighted.mean());
     for (const double q : {0.0, 0.005, 0.01, 0.5, 1.0})
         EXPECT_EQ(repeated.percentile(q), weighted.percentile(q)) << q;
+}
+
+std::vector<std::byte>
+savedBytes(const LatencyHistogram &h)
+{
+    sim::StateWriter writer;
+    h.saveState(writer);
+    return writer.release();
+}
+
+TEST(LatencyHistogram, SaveLoadRoundTripIsExact)
+{
+    const LatencyHistogram original = randomHistogram(7, 20'000);
+    const std::vector<std::byte> bytes = savedBytes(original);
+
+    LatencyHistogram restored;
+    sim::StateReader reader(bytes);
+    restored.loadState(reader);
+    EXPECT_TRUE(reader.atEnd());
+
+    EXPECT_EQ(savedBytes(restored), bytes);
+    EXPECT_EQ(restored.count(), original.count());
+    EXPECT_EQ(restored.mean(), original.mean());
+    EXPECT_EQ(restored.minValue(), original.minValue());
+    EXPECT_EQ(restored.maxValue(), original.maxValue());
+    for (const double q :
+         {0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0})
+        EXPECT_EQ(restored.percentile(q), original.percentile(q)) << q;
+
+    // An empty histogram round-trips too (no stored buckets).
+    const LatencyHistogram empty;
+    LatencyHistogram empty_restored;
+    const std::vector<std::byte> empty_bytes = savedBytes(empty);
+    sim::StateReader empty_reader(empty_bytes);
+    empty_restored.loadState(empty_reader);
+    EXPECT_TRUE(empty_restored.empty());
+    EXPECT_EQ(savedBytes(empty_restored), empty_bytes);
+}
+
+/** Saved-state layout: total, sum, min, max, then the counts vector. */
+std::vector<std::byte>
+handMadeState(std::uint64_t total, const std::vector<std::uint64_t> &counts)
+{
+    sim::StateWriter writer;
+    writer.put(total);
+    writer.put(std::uint64_t{0}); // sum
+    writer.put(std::uint64_t{0}); // min
+    writer.put(std::uint64_t{0}); // max
+    writer.putVector(counts);
+    return writer.release();
+}
+
+void
+expectLoadThrows(const std::vector<std::byte> &bytes)
+{
+    LatencyHistogram h;
+    sim::StateReader reader(bytes);
+    EXPECT_THROW(h.loadState(reader), std::runtime_error);
+}
+
+TEST(LatencyHistogram, LoadRejectsMoreBucketsThanTheRange)
+{
+    std::vector<std::uint64_t> counts(LatencyHistogram::kBucketCount + 1,
+                                      0);
+    counts.back() = 1;
+    expectLoadThrows(handMadeState(1, counts));
+    // The largest legal layout still loads.
+    counts.pop_back();
+    counts.back() = 1;
+    LatencyHistogram h;
+    const std::vector<std::byte> bytes = handMadeState(1, counts);
+    sim::StateReader reader(bytes);
+    h.loadState(reader);
+    EXPECT_EQ(h.count(), 1u);
+}
+
+TEST(LatencyHistogram, LoadRejectsCountsThatMissTheTotal)
+{
+    expectLoadThrows(handMadeState(5, {1, 2, 1}));
+    expectLoadThrows(handMadeState(3, {1, 2, 1}));
+    expectLoadThrows(handMadeState(1, {}));
+}
+
+TEST(LatencyHistogram, LoadRejectsTruncatedPayload)
+{
+    const std::vector<std::byte> bytes =
+        savedBytes(randomHistogram(9, 1'000));
+    for (const std::size_t keep :
+         {std::size_t{0}, std::size_t{7}, std::size_t{32}, std::size_t{40},
+          bytes.size() / 2, bytes.size() - 1}) {
+        const std::vector<std::byte> cut(bytes.begin(),
+                                         bytes.begin() +
+                                             static_cast<std::ptrdiff_t>(
+                                                 keep));
+        expectLoadThrows(cut);
+    }
 }
 
 } // namespace
