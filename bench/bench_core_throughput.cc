@@ -1,15 +1,15 @@
 /**
  * @file
- * Core simulation throughput: the pooled event queue on its own, plus
+ * Core simulation throughput: the event queue on its own, plus
  * whole-engine events/sec across trace scales.
  *
  * Sections:
  *
  *  1. A queue-only microbenchmark replaying a trace-shaped event stream
- *     (chained arrivals, completion events whose lambdas capture
- *     owner + two ids exactly like core::Engine's, periodic timeouts
- *     that are cancelled when the completion beats them, and a 1-second
- *     maintenance tick) through sim::EventQueue.
+ *     (chained arrivals, completion events carrying a container id and
+ *     a request index like core::Engine's, and a 1-second maintenance
+ *     tick) through sim::EventQueue, popped and dispatched by one
+ *     switch as the engine does.
  *
  *  2. Engine end-to-end events/sec for a few policies × trace scales,
  *     using Engine::eventsExecuted() (the same figure the [exp]
@@ -67,10 +67,10 @@ namespace {
 
 /**
  * Replays the trace through the event queue the way core::Engine drives
- * it: each arrival chains the next one and schedules a completion whose
- * lambda captures (driver pointer, u32, u64) — the same 24-byte shape
- * as the engine's [this, cid, request_index] captures.  Every 8th
- * request also arms a timeout event that the completion cancels.
+ * it: tagged records popped and dispatched by one switch.  Each arrival
+ * schedules the next one and a completion carrying a (u32, u64) payload
+ * — the engine's (container id, request index) — and a 1-second
+ * maintenance tick runs until the trace ends.
  */
 class TraceDriver
 {
@@ -83,56 +83,51 @@ class TraceDriver
     std::uint64_t run()
     {
         scheduleArrival(0);
-        queue_.schedule(sim::sec(1),
-                        [this](sim::SimTime now) { tick(now); });
-        queue_.runAll();
+        queue_.schedule(sim::sec(1), kTick);
+        while (!queue_.empty())
+            dispatch(queue_.pop());
         return queue_.executedCount();
     }
 
   private:
+    static constexpr std::uint32_t kArrival = 1;
+    static constexpr std::uint32_t kTick = 2;
+    static constexpr std::uint32_t kComplete = 3;
+
+    void dispatch(const sim::Event &event)
+    {
+        switch (event.kind) {
+          case kArrival:
+            onArrival(event.b);
+            break;
+          case kTick:
+            if (event.when < workload_.duration())
+                queue_.scheduleAfter(sim::sec(1), kTick);
+            break;
+          case kComplete:
+            payload_sum_ += event.a + event.b;
+            break;
+        }
+    }
+
     void scheduleArrival(std::uint64_t index)
     {
         const auto &requests = workload_.requests();
-        if (index >= requests.size())
-            return;
-        queue_.schedule(requests[index].arrival_us,
-                        [this, index](sim::SimTime now) {
-                            onArrival(index, now);
-                        });
+        if (index < requests.size())
+            queue_.schedule(requests[index].arrival_us, kArrival, 0, index);
     }
 
-    void onArrival(std::uint64_t index, sim::SimTime now)
+    void onArrival(std::uint64_t index)
     {
         scheduleArrival(index + 1);
-        const trace::Request &request = workload_.requests()[index];
-        const std::uint32_t container =
-            static_cast<std::uint32_t>(index % 4096);
-        sim::EventQueue::EventId timeout = 0;
-        if (index % 8 == 0) {
-            timeout = queue_.schedule(
-                now + request.exec_us + sim::sec(2),
-                [this, container, index](sim::SimTime) { ++timeouts_; });
-        }
-        queue_.schedule(now + request.exec_us,
-                        [this, container, index, timeout](sim::SimTime) {
-                            completed_ += container % 2 == 0 ? 1 : 1;
-                            if (timeout != 0)
-                                queue_.cancel(timeout);
-                        });
-    }
-
-    void tick(sim::SimTime now)
-    {
-        if (now >= workload_.duration())
-            return;
-        queue_.schedule(now + sim::sec(1),
-                        [this](sim::SimTime t) { tick(t); });
+        const auto container = static_cast<std::uint32_t>(index % 4096);
+        queue_.scheduleAfter(workload_.requests()[index].exec_us, kComplete,
+                             container, index);
     }
 
     const trace::Trace &workload_;
     sim::EventQueue queue_;
-    std::uint64_t completed_ = 0;
-    std::uint64_t timeouts_ = 0;
+    std::uint64_t payload_sum_ = 0;
 };
 
 struct QueueRun
@@ -409,19 +404,19 @@ main(int argc, char **argv)
     // including that section (the per-size isolation lives in
     // bench_out_of_core, which forks one process per measurement).
     const int reps = 5;
-    QueueRun pooled;
+    QueueRun heap;
     std::int64_t rss_queue_mb = -1;
     if (!smoke) {
-        std::cerr << "[bench] replaying event stream through pooled queue ("
+        std::cerr << "[bench] replaying event stream through the queue ("
                   << reps << " reps, best kept)...\n";
-        pooled = measureQueue(reference, reps);
+        heap = measureQueue(reference, reps);
 
         stats::Table queue_table({"queue", "events", "wall_ms",
                                   "events_per_sec", "ns_per_event"});
-        queue_table.addRow({"pooled", std::to_string(pooled.events),
-                            stats::formatFixed(pooled.wall_ms, 1),
-                            stats::formatFixed(pooled.events_per_sec, 0),
-                            stats::formatFixed(pooled.ns_per_event, 1)});
+        queue_table.addRow({"heap", std::to_string(heap.events),
+                            stats::formatFixed(heap.wall_ms, 1),
+                            stats::formatFixed(heap.events_per_sec, 0),
+                            stats::formatFixed(heap.ns_per_event, 1)});
         emit(options, "core_throughput_queue", queue_table);
         rss_queue_mb = exp::peakRssMb();
     }
@@ -597,10 +592,10 @@ main(int argc, char **argv)
          << reference.requestCount() << "},\n";
     if (!smoke) {
         json << "  \"queue\": {\n"
-             << "    \"pooled\": {\"events\": " << pooled.events
-             << ", \"wall_ms\": " << pooled.wall_ms
-             << ", \"events_per_sec\": " << pooled.events_per_sec
-             << ", \"ns_per_event\": " << pooled.ns_per_event << "},\n"
+             << "    \"heap\": {\"events\": " << heap.events
+             << ", \"wall_ms\": " << heap.wall_ms
+             << ", \"events_per_sec\": " << heap.events_per_sec
+             << ", \"ns_per_event\": " << heap.ns_per_event << "},\n"
              << "    \"peak_rss_mb\": " << rss_queue_mb << "\n  },\n";
     }
     json << "  \"engine\": [\n";

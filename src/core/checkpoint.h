@@ -50,9 +50,10 @@ static_assert(sizeof(CheckpointHeader) == 40,
  * checkpoint is the driver's simulated time followed by
  * ShardedEngine::saveState, whatever the cell count.  Version 3 stores
  * RunMetrics' distributions as integer-µs stats::LatencyHistogram
- * state.
+ * state.  Version 4 stores each engine's pending events as one vector
+ * of sim::Event records.
  */
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /**
  * Digest of the run configuration a checkpoint belongs to: engine

@@ -56,8 +56,8 @@ class PlanLease
     ReclaimPlan plan_;
 };
 
-// Checkpoint event-tag kinds: every pending event the engine schedules
-// carries one so a restored queue can rebuild the callback closures.
+// The four event kinds (sim::Event::kind); Engine::dispatch switches on
+// them.  The values are part of the checkpoint format.
 constexpr std::uint32_t kEvArrival = 1;           //!< b = request index
 constexpr std::uint32_t kEvMaintenance = 2;       //!< no payload
 constexpr std::uint32_t kEvExecComplete = 3;      //!< a = cid, b = request
@@ -211,16 +211,19 @@ Engine::admit(sim::SimTime when, trace::FunctionId function,
 
     const std::uint64_t index = live_requests_.size();
     live_requests_.push_back(LiveRequest{function, when, exec_us});
-    const auto id = queue_.scheduleReserved(
-        when, live_next_seq_, sim::EventTag{kEvArrival, 0, index},
-        [this, index](sim::SimTime) { handleArrival(index); });
+    const std::uint64_t seq = live_next_seq_;
+    queue_.scheduleReserved(when, seq, kEvArrival, 0, index);
     // Run every event ordered before the admission, then the admission
     // itself (handleArrival re-reserves live_next_seq_ for the next
     // one).  Events *after* the arrival — even at the same timestamp —
     // stay pending, so the interleaving matches trace mode no matter
     // where the stream pauses.
-    queue_.runTo(id);
-    return index;
+    for (;;) {
+        const sim::Event event = queue_.pop();
+        dispatch(event);
+        if (event.seq == seq)
+            return index;
+    }
 }
 
 void
@@ -236,7 +239,11 @@ Engine::stepUntil(sim::SimTime until)
 {
     if (!ran_)
         throw std::logic_error("Engine::stepUntil: begin() not called");
-    return queue_.runUntil(until);
+    std::size_t count = 0;
+    for (; !queue_.empty() && queue_.peekTime() <= until; ++count)
+        dispatch(queue_.pop());
+    queue_.advanceTo(until);
+    return count;
 }
 
 RunMetrics
@@ -246,7 +253,8 @@ Engine::finish()
         throw std::logic_error("Engine::finish: begin() not called");
     if (live_ && !stream_closed_)
         throw std::logic_error("Engine::finish: closeStream() first");
-    queue_.runAll();
+    while (!queue_.empty())
+        dispatch(queue_.pop());
 
     const std::uint64_t expected =
         live_ ? live_requests_.size() : trace_.requestCount();
@@ -256,10 +264,10 @@ Engine::finish()
             std::to_string(expected) +
             " requests completed — orchestration deadlock");
     }
-    // Finalize at the last *executed* event, not at now(): a stepped
-    // driver's final epoch deadline may overshoot the last event, and
-    // the time-integral metrics (makespan, average memory) must not
-    // depend on where the epoch boundaries fell.
+    // Finalize at the last event, not at now(): stepUntil() advances the
+    // clock to its deadline, which may overshoot the last event, and the
+    // time-integral metrics (makespan, average memory) must not depend
+    // on where a driver's step boundaries fell.
     metrics_.finalize(queue_.lastEventTime());
     return std::move(metrics_);
 }
@@ -278,9 +286,7 @@ Engine::scheduleNextArrival()
     if (arrival_cursor_ >= trace_.requestCount())
         return;
     const std::uint64_t index = arrival_cursor_++;
-    queue_.schedule(trace_.arrivalUs(index),
-                    sim::EventTag{kEvArrival, 0, index},
-                    [this, index](sim::SimTime) { handleArrival(index); });
+    queue_.schedule(trace_.arrivalUs(index), kEvArrival, 0, index);
 }
 
 void
@@ -289,9 +295,7 @@ Engine::scheduleTickIfNeeded()
     if (tick_scheduled_ || !hasPendingWork())
         return;
     tick_scheduled_ = true;
-    queue_.scheduleAfter(config_.maintenance_interval,
-                         sim::EventTag{kEvMaintenance, 0, 0},
-                         [this](sim::SimTime) { handleMaintenance(); });
+    queue_.scheduleAfter(config_.maintenance_interval, kEvMaintenance);
 }
 
 bool
@@ -331,7 +335,7 @@ Engine::handleArrival(std::uint64_t request_index)
         // Case I of Algorithm 2: a free warm slot — a true warm start.
         cluster::Container &c =
             cluster_.container(fs.available().back());
-        dispatch(c, request_index, StartType::Warm);
+        dispatchRequest(c, request_index, StartType::Warm);
     } else if (cluster::Container *victim = findRestorableContainer(fs)) {
         // A compressed container can be inflated cheaper than a cold
         // start (CodeCrunch path).
@@ -401,8 +405,29 @@ Engine::handleArrival(std::uint64_t request_index)
 }
 
 void
-Engine::dispatch(cluster::Container &c, std::uint64_t request_index,
-                 StartType type)
+Engine::dispatch(const sim::Event &event)
+{
+    switch (event.kind) {
+      case kEvArrival:
+        handleArrival(event.b);
+        break;
+      case kEvMaintenance:
+        handleMaintenance();
+        break;
+      case kEvExecComplete:
+        handleExecutionComplete(event.a, event.b);
+        break;
+      case kEvProvisionComplete:
+        handleProvisionComplete(event.a);
+        break;
+      default:
+        throw std::logic_error("Engine: unknown event kind");
+    }
+}
+
+void
+Engine::dispatchRequest(cluster::Container &c, std::uint64_t request_index,
+                        StartType type)
 {
     const trace::Request req = requestAt(request_index);
     assert(c.live());
@@ -457,12 +482,7 @@ Engine::dispatch(cluster::Container &c, std::uint64_t request_index,
     policy_.keep_alive->onUse(*this, c, type);
     policy_.scaling->onDispatch(*this, req, type, wait);
 
-    const cluster::ContainerId cid = c.id;
-    queue_.scheduleAfter(req.exec_us,
-                         sim::EventTag{kEvExecComplete, cid, request_index},
-                         [this, cid, request_index](sim::SimTime) {
-                             handleExecutionComplete(cid, request_index);
-                         });
+    queue_.scheduleAfter(req.exec_us, kEvExecComplete, c.id, request_index);
 }
 
 void
@@ -480,7 +500,7 @@ Engine::drainQueuesInto(cluster::Container &c, StartType type)
         } else {
             break;
         }
-        dispatch(c, next, type);
+        dispatchRequest(c, next, type);
     }
 }
 
@@ -670,11 +690,7 @@ Engine::tryStartProvision(const DeferredProvision &req)
         policy_.keep_alive->onAdmit(*this, c, watermark);
         noteMemory();
 
-        queue_.schedule(c.provision_ends_at,
-                        sim::EventTag{kEvProvisionComplete, cid, 0},
-                        [this, cid](sim::SimTime) {
-                            handleProvisionComplete(cid);
-                        });
+        queue_.schedule(c.provision_ends_at, kEvProvisionComplete, cid);
         return true;
     }
     return false;
@@ -839,12 +855,7 @@ Engine::startRestore(cluster::Container &c, std::uint64_t request_index)
     c.bound_queue.push_back(request_index);
     noteMemory();
 
-    const cluster::ContainerId cid = c.id;
-    queue_.schedule(c.provision_ends_at,
-                    sim::EventTag{kEvProvisionComplete, cid, 0},
-                    [this, cid](sim::SimTime) {
-                        handleProvisionComplete(cid);
-                    });
+    queue_.schedule(c.provision_ends_at, kEvProvisionComplete, c.id);
 }
 
 void
@@ -991,32 +1002,6 @@ Engine::nextArrivalAfter(trace::FunctionId id, sim::SimTime t) const
     return it == arrivals.end() ? sim::kTimeInfinity : *it;
 }
 
-sim::EventCallback
-Engine::eventFromTag(const sim::EventTag &tag)
-{
-    switch (tag.kind) {
-      case kEvArrival: {
-        const std::uint64_t index = tag.b;
-        return [this, index](sim::SimTime) { handleArrival(index); };
-      }
-      case kEvMaintenance:
-        return [this](sim::SimTime) { handleMaintenance(); };
-      case kEvExecComplete: {
-        const cluster::ContainerId cid = tag.a;
-        const std::uint64_t request_index = tag.b;
-        return [this, cid, request_index](sim::SimTime) {
-            handleExecutionComplete(cid, request_index);
-        };
-      }
-      case kEvProvisionComplete: {
-        const cluster::ContainerId cid = tag.a;
-        return [this, cid](sim::SimTime) { handleProvisionComplete(cid); };
-      }
-      default:
-        return sim::EventCallback{};
-    }
-}
-
 void
 Engine::saveState(sim::StateWriter &writer) const
 {
@@ -1089,10 +1074,22 @@ Engine::loadState(sim::StateReader &reader)
     reader.getBytes(rng_state, sizeof rng_state);
     rng_.loadState(rng_state);
 
-    queue_.loadState(reader, [this](const sim::EventTag &tag) {
-        return eventFromTag(tag);
-    });
+    queue_.loadState(reader);
     cluster_.loadState(reader);
+    // Check every pending event before any handler can read through it.
+    for (const sim::Event &event : queue_.pending()) {
+        const bool has_request =
+            event.kind == kEvArrival || event.kind == kEvExecComplete;
+        const bool has_container = event.kind == kEvExecComplete ||
+            event.kind == kEvProvisionComplete;
+        if (event.kind < kEvArrival || event.kind > kEvProvisionComplete ||
+            (has_request && event.b >= trace_.requestCount()) ||
+            (has_container && event.a >= cluster_.allContainers().size())) {
+            throw std::runtime_error(
+                "Engine: checkpoint holds a corrupt pending event (kind " +
+                std::to_string(event.kind) + ")");
+        }
+    }
 
     const std::uint64_t idle_lists = reader.get<std::uint64_t>();
     if (idle_lists != worker_idle_.size())

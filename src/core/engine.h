@@ -80,9 +80,9 @@ class Engine
     RunMetrics finish();
 
     /**
-     * True once begin() ran and no runnable event remains — i.e. a
-     * stepUntil() loop has fully drained the simulation.  Used by the
-     * sharded runtime to terminate its lockstep epochs.
+     * True once begin() ran and no event remains — i.e. a stepUntil()
+     * loop has fully drained the simulation.  Drivers that step to
+     * deadlines (a checkpointed run, ShardedEngine) stop on it.
      */
     bool drained() const { return ran_ && queue_.empty(); }
 
@@ -124,12 +124,6 @@ class Engine
      */
     void closeStream();
 
-    /** True when the engine was armed with beginLive(). */
-    bool liveMode() const { return live_; }
-
-    /** Requests admitted so far (live mode). */
-    std::uint64_t admittedCount() const { return live_requests_.size(); }
-
     // ---- read access for policies --------------------------------------
 
     sim::SimTime now() const { return queue_.now(); }
@@ -170,13 +164,6 @@ class Engine
     std::uint64_t eventsExecuted() const { return queue_.executedCount(); }
 
     /**
-     * Timestamp of the next runnable event, or sim::kTimeInfinity when
-     * drained.  Lets a stepped driver jump its epoch boundary straight
-     * to the next event instead of sweeping empty simulated time.
-     */
-    sim::SimTime nextEventTime() const { return queue_.peekTime(); }
-
-    /**
      * T_e estimate: the configured percentile (or mean) of the recent
      * execution-time window; falls back to the profile's median when no
      * history exists yet.
@@ -212,9 +199,6 @@ class Engine
 
     // ---- checkpoint/restore ---------------------------------------------
 
-    /** Trace requests whose arrival event has been scheduled so far. */
-    std::uint64_t arrivalCursor() const { return arrival_cursor_; }
-
     /**
      * Serialize the complete mutable simulation state — cursors, RNG,
      * pending events, cluster, per-function state, metrics and the
@@ -231,7 +215,9 @@ class Engine
      * config and policy bundle; afterwards stepUntil()/finish() continue
      * exactly where the checkpointed run left off.  Throws
      * std::logic_error on reuse and std::runtime_error on a payload
-     * that does not match this engine's shape.
+     * that does not match this engine's shape, including a pending
+     * event of an unknown kind or with a request index or container id
+     * out of range.
      */
     void loadState(sim::StateReader &reader);
 
@@ -282,15 +268,15 @@ class Engine
         sim::SimTime exec_us;
     };
 
-    /** Rebuild the callback of a checkpointed pending event. */
-    sim::EventCallback eventFromTag(const sim::EventTag &tag);
-
     /**
      * The request at @p index: a trace request column read in trace
      * mode, an admitted record in live mode.  The single seam through
      * which every handler resolves request payloads.
      */
     trace::Request requestAt(std::uint64_t index) const;
+
+    /** Run the handler of @p event's kind: the one event switch. */
+    void dispatch(const sim::Event &event);
 
     // Event handlers.
     void handleArrival(std::uint64_t request_index);
@@ -304,8 +290,8 @@ class Engine
     bool hasPendingWork() const;
 
     /** Dispatch a request into a container and start its execution. */
-    void dispatch(cluster::Container &c, std::uint64_t request_index,
-                  StartType type);
+    void dispatchRequest(cluster::Container &c, std::uint64_t request_index,
+                         StartType type);
 
     /** Fill free slots of @p c from its bound queue / function channel. */
     void drainQueuesInto(cluster::Container &c, StartType type);

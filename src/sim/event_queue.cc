@@ -2,58 +2,30 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 #include "sim/serialize.h"
 
 namespace cidre::sim {
 
-std::uint32_t
-EventQueue::acquireSlot()
-{
-    if (free_head_ != kNoSlot) {
-        const std::uint32_t index = free_head_;
-        free_head_ = slots_[index].next_free;
-        slots_[index].next_free = kNoSlot;
-        return index;
-    }
-    if (slots_.size() > kSlotMask)
-        throw std::length_error("EventQueue: more than 2^24 pending events");
-    const auto index = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-    return index;
-}
-
-void
-EventQueue::releaseSlot(std::uint32_t index) noexcept
-{
-    Slot &slot = slots_[index];
-    slot.callback.reset();
-    slot.armed_key = 0; // invalidates outstanding ids and heap entries
-    slot.next_free = free_head_;
-    slot.tag = EventTag{};
-    free_head_ = index;
-}
-
 void
 EventQueue::siftUp(std::size_t index)
 {
-    HeapEntry entry = heap_[index];
+    const Event event = heap_[index];
     while (index > 0) {
         const std::size_t parent = (index - 1) / 4;
-        if (!earlier(entry, heap_[parent]))
+        if (!earlier(event, heap_[parent]))
             break;
         heap_[index] = heap_[parent];
         index = parent;
     }
-    heap_[index] = entry;
+    heap_[index] = event;
 }
 
 void
 EventQueue::siftDown(std::size_t index)
 {
     const std::size_t size = heap_.size();
-    HeapEntry entry = heap_[index];
+    const Event event = heap_[index];
     for (;;) {
         const std::size_t first = index * 4 + 1;
         if (first >= size)
@@ -64,182 +36,56 @@ EventQueue::siftDown(std::size_t index)
             if (earlier(heap_[child], heap_[best]))
                 best = child;
         }
-        if (!earlier(heap_[best], entry))
+        if (!earlier(heap_[best], event))
             break;
         heap_[index] = heap_[best];
         index = best;
     }
-    heap_[index] = entry;
+    heap_[index] = event;
 }
 
 void
-EventQueue::popTop()
+EventQueue::push(const Event &event)
 {
+    if (event.when < now_)
+        throw std::logic_error("EventQueue: scheduling into the past");
+    heap_.push_back(event);
+    siftUp(heap_.size() - 1);
+}
+
+void
+EventQueue::schedule(SimTime when, std::uint32_t kind, std::uint32_t a,
+                     std::uint64_t b)
+{
+    push(Event{when, next_seq_, kind, a, b});
+    ++next_seq_;
+}
+
+void
+EventQueue::scheduleReserved(SimTime when, std::uint64_t seq,
+                             std::uint32_t kind, std::uint32_t a,
+                             std::uint64_t b)
+{
+    if (seq == 0 || seq >= next_seq_)
+        throw std::logic_error(
+            "EventQueue: sequence number was never reserved");
+    push(Event{when, seq, kind, a, b});
+}
+
+Event
+EventQueue::pop()
+{
+    if (heap_.empty())
+        throw std::logic_error("EventQueue: pop from an empty queue");
+    const Event top = heap_.front();
     heap_.front() = heap_.back();
     heap_.pop_back();
     if (!heap_.empty())
         siftDown(0);
-}
-
-std::uint32_t
-EventQueue::beginSchedule(SimTime when)
-{
-    if (when < now_)
-        throw std::logic_error("EventQueue: scheduling into the past");
-    if (next_seq_ >> (64 - kSlotBits) != 0)
-        throw std::length_error("EventQueue: sequence space exhausted");
-    return acquireSlot();
-}
-
-EventQueue::EventId
-EventQueue::finishSchedule(SimTime when, std::uint32_t slot)
-{
-    return finishScheduleReserved(when, slot, next_seq_++);
-}
-
-EventQueue::EventId
-EventQueue::finishScheduleReserved(SimTime when, std::uint32_t slot,
-                                   std::uint64_t seq)
-{
-    const std::uint64_t key = (seq << kSlotBits) | slot;
-    slots_[slot].armed_key = key;
-    heap_.push_back(HeapEntry{when, key});
-    siftUp(heap_.size() - 1);
-    return key;
-}
-
-std::uint64_t
-EventQueue::reserveSeq()
-{
-    if (next_seq_ >> (64 - kSlotBits) != 0)
-        throw std::length_error("EventQueue: sequence space exhausted");
-    return next_seq_++;
-}
-
-EventQueue::EventId
-EventQueue::schedule(SimTime when, Callback cb)
-{
-    if (!cb)
-        throw std::invalid_argument("EventQueue: empty callback");
-    const std::uint32_t slot = beginSchedule(when);
-    slots_[slot].callback = std::move(cb);
-    return finishSchedule(when, slot);
-}
-
-EventQueue::EventId
-EventQueue::scheduleAfter(SimTime delay, Callback cb)
-{
-    return schedule(now_ + delay, std::move(cb));
-}
-
-void
-EventQueue::cancel(EventId id)
-{
-    if (id == 0)
-        return;
-    const auto slot = static_cast<std::uint32_t>(id & kSlotMask);
-    if (slot >= slots_.size() || slots_[slot].armed_key != id)
-        return; // already ran, already cancelled, or never existed
-    releaseSlot(slot);
-    ++cancelled_;
-    // Cancelled-event debt: the dead heap entries are usually cheap to
-    // carry (they pop out in time order), but a cancel-heavy workload
-    // could otherwise grow the heap without bound.  Sweep once they
-    // outnumber the live entries.
-    if (cancelled_ * 2 > heap_.size())
-        compact();
-}
-
-void
-EventQueue::compact()
-{
-    heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                               [this](const HeapEntry &entry) {
-                                   return dead(entry);
-                               }),
-                heap_.end());
-    cancelled_ = 0;
-    if (heap_.size() > 1) {
-        // Bottom-up heapify: every index that can have a child.
-        for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;)
-            siftDown(i);
-    }
-}
-
-void
-EventQueue::skipDead() const
-{
-    while (!heap_.empty() && dead(heap_.front())) {
-        // popTop on the mutable members; const because empty()/peekTime()
-        // must be able to discard dead heads.
-        const_cast<EventQueue *>(this)->popTop();
-        --cancelled_;
-    }
-}
-
-bool
-EventQueue::empty() const
-{
-    skipDead();
-    return heap_.empty();
-}
-
-SimTime
-EventQueue::peekTime() const
-{
-    skipDead();
-    return heap_.empty() ? kTimeInfinity : heap_.front().when;
-}
-
-bool
-EventQueue::runNext()
-{
-    skipDead();
-    if (heap_.empty())
-        return false;
-    const HeapEntry top = heap_.front();
-    popTop();
-    const auto slot = static_cast<std::uint32_t>(top.key & kSlotMask);
-    // Move the callback out and release the slot *before* invoking: the
-    // callback may schedule new events (reusing this very slot) or grow
-    // the pool, exactly like the old extract-then-invoke contract.
-    EventCallback callback = std::move(slots_[slot].callback);
-    releaseSlot(slot);
     now_ = top.when;
     last_event_ = top.when;
     ++executed_;
-    callback(now_);
-    return true;
-}
-
-std::size_t
-EventQueue::runTo(EventId id)
-{
-    const auto slot = static_cast<std::uint32_t>(id & kSlotMask);
-    if (id == 0 || slot >= slots_.size() || slots_[slot].armed_key != id)
-        throw std::logic_error("EventQueue: runTo target is not pending");
-    std::size_t count = 0;
-    for (;;) {
-        skipDead();
-        // The target is pending, so the heap cannot drain before we
-        // reach it; its key bounds everything we pop along the way.
-        const bool target = heap_.front().key == id;
-        runNext();
-        ++count;
-        if (target)
-            return count;
-    }
-}
-
-std::size_t
-EventQueue::runUntil(SimTime deadline)
-{
-    std::size_t count = 0;
-    while (peekTime() <= deadline && runNext())
-        ++count;
-    if (now_ < deadline)
-        now_ = deadline;
-    return count;
+    return top;
 }
 
 void
@@ -249,59 +95,29 @@ EventQueue::saveState(StateWriter &writer) const
     writer.put(last_event_);
     writer.put(next_seq_);
     writer.put(executed_);
-    writer.put(free_head_);
-    writer.put<std::uint64_t>(cancelled_);
     writer.putVector(heap_);
-    writer.put<std::uint64_t>(slots_.size());
-    for (const Slot &slot : slots_) {
-        if (slot.armed_key != 0 && slot.tag.kind == 0)
-            throw std::logic_error(
-                "EventQueue: cannot checkpoint an untagged pending event");
-        writer.put(slot.armed_key);
-        writer.put(slot.next_free);
-        writer.put(slot.tag);
-    }
 }
 
 void
-EventQueue::loadState(StateReader &reader, const EventFactory &factory)
+EventQueue::loadState(StateReader &reader)
 {
     now_ = reader.get<SimTime>();
     last_event_ = reader.get<SimTime>();
     next_seq_ = reader.get<std::uint64_t>();
     executed_ = reader.get<std::uint64_t>();
-    free_head_ = reader.get<std::uint32_t>();
-    cancelled_ = static_cast<std::size_t>(reader.get<std::uint64_t>());
-    heap_ = reader.getVector<HeapEntry>();
-    const auto slot_count = reader.get<std::uint64_t>();
-    slots_.clear();
-    slots_.resize(static_cast<std::size_t>(slot_count));
-    for (Slot &slot : slots_) {
-        slot.armed_key = reader.get<std::uint64_t>();
-        slot.next_free = reader.get<std::uint32_t>();
-        slot.tag = reader.get<EventTag>();
-        if (slot.armed_key != 0) {
-            slot.callback = factory(slot.tag);
-            if (!slot.callback)
-                throw std::runtime_error(
-                    "EventQueue: no callback for checkpointed event kind " +
-                    std::to_string(slot.tag.kind));
-        }
-    }
-    for (const HeapEntry &entry : heap_) {
-        if ((entry.key & kSlotMask) >= slots_.size())
+    heap_ = reader.getVector<Event>();
+    for (const Event &event : heap_) {
+        if (event.when < now_ || event.seq == 0 || event.seq >= next_seq_)
             throw std::runtime_error(
-                "EventQueue: checkpointed heap references invalid slot");
+                "EventQueue: corrupt checkpointed event");
     }
-}
-
-std::size_t
-EventQueue::runAll(std::size_t max_events)
-{
-    std::size_t count = 0;
-    while (count < max_events && runNext())
-        ++count;
-    return count;
+    // A saved heap is already in heap order, so this moves nothing for
+    // a genuine checkpoint; it only restores the invariant for a
+    // payload whose order was tampered with.
+    if (heap_.size() > 1) {
+        for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;)
+            siftDown(i);
+    }
 }
 
 } // namespace cidre::sim

@@ -94,13 +94,25 @@ class StateReader
     {
     }
 
+    /**
+     * A bool is read as one byte that must be 0 or 1: any other byte
+     * would be an invalid bool value, so it throws instead.
+     */
     template <typename T> T get()
     {
         static_assert(std::is_trivially_copyable_v<T>,
                       "StateReader::get requires a POD type");
-        T value;
-        getBytes(&value, sizeof(T));
-        return value;
+        if constexpr (std::is_same_v<T, bool>) {
+            const auto byte = get<std::uint8_t>();
+            if (byte > 1)
+                throw std::runtime_error(
+                    "StateReader: corrupt bool in checkpoint payload");
+            return byte == 1;
+        } else {
+            T value;
+            getBytes(&value, sizeof(T));
+            return value;
+        }
     }
 
     void getBytes(void *out, std::size_t size)

@@ -144,10 +144,14 @@ SlidingWindow::saveState(sim::StateWriter &writer) const
 void
 SlidingWindow::loadState(sim::StateReader &reader)
 {
-    horizon_ = reader.get<sim::SimTime>();
-    max_samples_ = static_cast<std::size_t>(reader.get<std::uint64_t>());
-    if (max_samples_ == 0)
-        throw std::runtime_error("SlidingWindow: corrupt checkpoint");
+    // The shape comes from the constructor (the engine config), never
+    // from the payload: the configured cap then bounds the allocation.
+    const auto horizon = reader.get<sim::SimTime>();
+    const auto max_samples = reader.get<std::uint64_t>();
+    if (horizon != horizon_ || max_samples != max_samples_)
+        throw std::runtime_error(
+            "SlidingWindow: checkpoint does not match the window's "
+            "horizon or sample cap");
     sum_ = reader.get<double>();
     change_epoch_ = reader.get<std::uint64_t>();
     const auto count = reader.get<std::uint64_t>();

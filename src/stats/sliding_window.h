@@ -89,7 +89,9 @@ class SlidingWindow
      * Checkpoint the live samples (time order), running sum and change
      * epoch.  The restored window is observationally identical — same
      * samples, percentiles, sum drift and epoch — though its ring
-     * capacity trajectory may differ (not observable).
+     * capacity trajectory may differ (not observable).  loadState()
+     * throws std::runtime_error unless the saved horizon and sample cap
+     * equal this window's.
      */
     void saveState(sim::StateWriter &writer) const;
     void loadState(sim::StateReader &reader);

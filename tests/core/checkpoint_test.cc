@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -20,6 +21,7 @@
 #include "core/sharded_engine.h"
 #include "policies/registry.h"
 #include "sim/serialize.h"
+#include "tests/core/test_helpers.h"
 #include "trace/generators.h"
 #include "trace/trace.h"
 #include "trace/trace_view.h"
@@ -109,9 +111,10 @@ TEST(CheckpointFile, RejectsUnsupportedVersion)
 {
     // Version 1 is the format before the `run` payload dropped its
     // engine-kind byte, version 2 the one before RunMetrics stored
-    // integer-µs histograms: an old file must fail as a version
+    // integer-µs histograms, version 3 the one before pending events
+    // were stored as plain records: an old file must fail as a version
     // mismatch, not as a misleading payload error.
-    for (const std::uint32_t bogus : {kCheckpointVersion + 5, 1u, 2u}) {
+    for (const std::uint32_t bogus : {kCheckpointVersion + 5, 1u, 2u, 3u}) {
         const std::string path =
             sampleCheckpoint("cidre_ckpt_badversion.ckpt");
         std::vector<char> bytes = readAll(path);
@@ -425,6 +428,71 @@ TEST(CheckpointResume, LoadRejectsAForeignEngineShape)
                   policies::makePolicy("ttl", config));
     sim::StateReader reader(state);
     EXPECT_THROW(target.loadState(reader), std::runtime_error);
+}
+
+TEST(CheckpointResume, LoadRejectsACorruptPendingEvent)
+{
+    // One function with a 100 ms cold start; request 0 arrives at 1 s
+    // and runs 500 ms.  Stepped to 1.1 s, its provision has completed,
+    // so its execution-complete event (kind 3, container 0, request 0)
+    // is pending at 1.6 s.
+    trace::Trace t;
+    const trace::FunctionId fn =
+        test::addFunction(t, 256, sim::msec(100), sim::msec(500));
+    t.addRequest(fn, sim::sec(1), sim::msec(500));
+    t.addRequest(fn, sim::sec(10), sim::msec(500));
+    t.seal();
+    const trace::TraceView view(t);
+    const EngineConfig config = test::smallConfig();
+
+    Engine source(view, config, test::simpleBundle());
+    source.begin();
+    source.stepUntil(sim::sec(1) + sim::msec(100));
+    sim::StateWriter writer;
+    source.saveState(writer);
+    const std::vector<std::byte> state = writer.release();
+
+    // Find the record by its time and payload; its sequence number is
+    // whatever the engine assigned.
+    const sim::Event wanted{sim::sec(1) + sim::msec(600), 0, 3, 0, 0};
+    std::vector<std::size_t> found;
+    for (std::size_t at = 0; at + sizeof(sim::Event) <= state.size(); ++at) {
+        const std::byte *record = state.data() + at;
+        if (std::memcmp(record, &wanted.when, sizeof wanted.when) == 0 &&
+            std::memcmp(record + offsetof(sim::Event, kind), &wanted.kind,
+                        sizeof(sim::Event) -
+                            offsetof(sim::Event, kind)) == 0) {
+            found.push_back(at);
+        }
+    }
+    ASSERT_EQ(found.size(), 1u);
+
+    const auto loadPatched = [&](std::size_t field, const void *value,
+                                 std::size_t size) {
+        std::vector<std::byte> patched = state;
+        std::memcpy(patched.data() + found[0] + field, value, size);
+        Engine target(view, config, test::simpleBundle());
+        sim::StateReader reader(patched);
+        target.loadState(reader);
+        return target.finish().total();
+    };
+    // Rewriting the record's own time changes nothing: it loads and runs.
+    EXPECT_EQ(loadPatched(0, &wanted.when, sizeof wanted.when), 2u);
+
+    for (const std::uint32_t kind : {0u, 5u}) {
+        EXPECT_THROW(loadPatched(offsetof(sim::Event, kind), &kind,
+                                 sizeof kind),
+                     std::runtime_error)
+            << "kind " << kind;
+    }
+    const std::uint32_t container = 1; // the slab holds one container
+    EXPECT_THROW(
+        loadPatched(offsetof(sim::Event, a), &container, sizeof container),
+        std::runtime_error);
+    const std::uint64_t request = view.requestCount();
+    EXPECT_THROW(
+        loadPatched(offsetof(sim::Event, b), &request, sizeof request),
+        std::runtime_error);
 }
 
 } // namespace

@@ -325,8 +325,8 @@ TEST(ShardedEngine, BeginFinishMatchesRun)
 TEST(ShardedEngine, SteppedExecutionIsDeterministicAcrossPools)
 {
     // Stepping advances each cell's clock to the step boundary
-    // (EventQueue::runUntil semantics, same as the plain engine's
-    // stepped path), so the makespan may be step-granular; everything
+    // (Engine::stepUntil semantics), so the makespan may be
+    // step-granular; everything
     // else — every counter, every event — must match the one-shot run,
     // and the whole stepped result must be bit-identical regardless of
     // how many threads drive the steps.

@@ -29,41 +29,35 @@ TEST_P(SeededSimTest, EventQueueMatchesReferenceScheduler)
     Rng gen = rng();
     EventQueue queue;
 
-    // Reference model: (time, sequence) pairs minus the cancelled set.
+    // Reference model: (time, sequence) pairs in schedule order.  Pops
+    // interleave with scheduling, and every new event lies at or after
+    // the clock, so the pop order is the stable sort by time.
     struct Planned
     {
         SimTime when;
         int label;
-        bool cancelled = false;
-        EventQueue::EventId id = 0;
     };
     std::vector<Planned> planned;
     std::vector<int> executed;
+    const auto popOne = [&] {
+        executed.push_back(static_cast<int>(queue.pop().b));
+    };
 
     for (int i = 0; i < 500; ++i) {
         Planned p;
-        p.when = static_cast<SimTime>(gen.below(100000));
+        p.when = queue.now() + static_cast<SimTime>(gen.below(100000));
         p.label = i;
-        p.id = queue.schedule(p.when, [&executed, i](SimTime) {
-            executed.push_back(i);
-        });
+        queue.schedule(p.when, 1, 0, static_cast<std::uint64_t>(i));
         planned.push_back(p);
-        // Randomly cancel an earlier still-pending event.
-        if (i > 0 && gen.chance(0.2)) {
-            const auto victim = gen.below(planned.size());
-            if (!planned[victim].cancelled) {
-                queue.cancel(planned[victim].id);
-                planned[victim].cancelled = true;
-            }
-        }
+        if (gen.chance(0.2))
+            popOne();
     }
-    queue.runAll();
+    while (!queue.empty())
+        popOne();
 
     std::vector<int> expected_order;
-    for (const auto &p : planned) {
-        if (!p.cancelled)
-            expected_order.push_back(p.label);
-    }
+    for (const auto &p : planned)
+        expected_order.push_back(p.label);
     std::stable_sort(expected_order.begin(), expected_order.end(),
                      [&](int a, int b) {
                          return planned[static_cast<std::size_t>(a)].when <

@@ -1,8 +1,8 @@
 /**
  * @file
- * Proves the event queue's zero-allocation steady state: once the slot
- * pool and heap have grown to a workload's high-water mark, the
- * schedule → fire → reschedule cycle performs no heap allocation.
+ * Proves the event queue's zero-allocation steady state: once the heap
+ * has grown to a workload's high-water mark, the schedule → pop →
+ * reschedule cycle performs no heap allocation.
  *
  * The proof instruments the global allocator (see alloc_counter.cc —
  * the counting operator new/delete replacements are program-wide, hence
@@ -24,70 +24,37 @@ TEST(EventQueueAlloc, SteadyStateScheduleFireIsAllocationFree)
 {
     EventQueue queue;
 
-    // Warm-up: grow the pool and heap to the high-water mark the steady
-    // state will need — kPending concurrent events plus the cancelled
-    // entries the compaction sweep tolerates.
+    // Warm-up: grow the heap to the high-water mark the steady state
+    // will need — kPending concurrent events.
     constexpr int kPending = 64;
-    std::uint64_t fired = 0;
-    for (int i = 0; i < kPending; ++i) {
-        queue.schedule(msec(10 + i), [&fired, i](SimTime) {
-            fired += static_cast<std::uint64_t>(i);
-        });
-    }
-    queue.runAll();
+    for (int i = 0; i < kPending; ++i)
+        queue.schedule(msec(10 + i), 1, 0, static_cast<std::uint64_t>(i));
+    while (!queue.empty())
+        queue.pop();
 
-    // Steady state: every fired event schedules its successor (the
-    // engine's arrival-chain/completion shape), with a cancelled
-    // timeout every few events to exercise the reclaim path too.
+    // Steady state: every popped event schedules its successor (the
+    // engine's arrival-chain/completion shape).
     const std::uint64_t before =
         cidre::test::allocationCount();
 
     std::uint64_t chain = 0;
-    EventQueue::EventId timeout = 0;
     for (int round = 0; round < 50; ++round) {
         for (int i = 0; i < kPending / 2; ++i) {
-            queue.scheduleAfter(msec(1 + i), [&chain, i](SimTime) {
-                chain += static_cast<std::uint64_t>(i) + 1;
-            });
-            if (i % 4 == 0) {
-                if (timeout != 0)
-                    queue.cancel(timeout);
-                timeout = queue.scheduleAfter(
-                    sec(5), [&chain](SimTime) { ++chain; });
-            }
+            queue.scheduleAfter(msec(1 + i), 1, 0,
+                                static_cast<std::uint64_t>(i));
         }
-        queue.runUntil(queue.now() + sec(1));
+        const SimTime deadline = queue.now() + sec(1);
+        while (!queue.empty() && queue.peekTime() <= deadline)
+            chain += queue.pop().b + 1;
+        queue.advanceTo(deadline);
     }
 
     const std::uint64_t after =
         cidre::test::allocationCount();
     EXPECT_EQ(after - before, 0u)
-        << "schedule/fire steady state must not allocate";
+        << "schedule/pop steady state must not allocate";
     EXPECT_GT(chain, 0u);
     EXPECT_GT(queue.executedCount(), 1000u);
-}
-
-TEST(EventQueueAlloc, InlineCallbackConstructionDoesNotAllocate)
-{
-    EventQueue queue;
-    // Grow once.
-    queue.schedule(msec(1), [](SimTime) {});
-    queue.runAll();
-
-    const std::uint64_t before =
-        cidre::test::allocationCount();
-    std::uint64_t sink = 0;
-    std::uint32_t container = 42;
-    for (int i = 0; i < 1000; ++i) {
-        queue.scheduleAfter(msec(1), [&sink, container, i](SimTime) {
-            sink += container + static_cast<std::uint32_t>(i);
-        });
-        queue.runNext();
-    }
-    const std::uint64_t after =
-        cidre::test::allocationCount();
-    EXPECT_EQ(after - before, 0u);
-    EXPECT_GT(sink, 0u);
 }
 
 } // namespace

@@ -1,13 +1,15 @@
 /**
  * @file
  * EventQueue checkpoint/restore: a queue saved mid-run and restored
- * through an EventFactory must produce the exact remaining event
- * sequence of the original — timestamps, FIFO ties and tags included.
+ * must pop the exact remaining event sequence of the original —
+ * timestamps, FIFO ties and payloads included.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -20,63 +22,51 @@ namespace {
 
 using Fired = std::vector<std::tuple<std::uint32_t, std::uint64_t, SimTime>>;
 
-/** Schedule an event whose firing appends (tag.kind, tag.b, now). */
-EventQueue::EventId
-scheduleLogged(EventQueue &queue, SimTime when, EventTag tag, Fired &log)
+/** Pop every event, logging (kind, b, fire time). */
+Fired
+drainLogged(EventQueue &queue)
 {
-    const std::uint32_t kind = tag.kind;
-    const std::uint64_t b = tag.b;
-    return queue.schedule(when, tag, [&log, kind, b](SimTime now) {
-        log.emplace_back(kind, b, now);
-    });
+    Fired log;
+    while (!queue.empty()) {
+        const Event event = queue.pop();
+        log.emplace_back(event.kind, event.b, queue.now());
+    }
+    return log;
 }
 
-/** Rebuild callbacks that log (tag.kind, tag.b, fire time) to @p log. */
-EventQueue::EventFactory
-loggingFactory(Fired &log)
+std::vector<std::byte>
+saved(const EventQueue &queue)
 {
-    return [&log](const EventTag &tag) -> EventCallback {
-        const std::uint32_t kind = tag.kind;
-        const std::uint64_t b = tag.b;
-        return EventCallback(
-            [&log, kind, b](SimTime now) { log.emplace_back(kind, b, now); });
-    };
+    StateWriter writer;
+    queue.saveState(writer);
+    return writer.release();
 }
 
 TEST(EventQueueState, RoundTripReplaysRemainingEventsExactly)
 {
-    Fired original_log;
     EventQueue queue;
     // A mix of times including FIFO ties at t=300.
-    scheduleLogged(queue, 100, EventTag{1, 0, 10}, original_log);
-    scheduleLogged(queue, 300, EventTag{2, 0, 20}, original_log);
-    scheduleLogged(queue, 300, EventTag{3, 0, 30}, original_log);
-    scheduleLogged(queue, 500, EventTag{4, 0, 40}, original_log);
-    queue.cancel(scheduleLogged(queue, 400, EventTag{9, 0, 90}, original_log));
+    queue.schedule(100, 1, 0, 10);
+    queue.schedule(300, 2, 0, 20);
+    queue.schedule(300, 3, 0, 30);
+    queue.schedule(500, 4, 0, 40);
 
-    ASSERT_EQ(queue.runUntil(200), 1u); // consume the t=100 event
+    ASSERT_EQ(queue.pop().b, 10u); // consume the t=100 event
+    queue.advanceTo(200);
 
-    StateWriter writer;
-    queue.saveState(writer);
-    const std::vector<std::byte> bytes = writer.release();
-
-    Fired restored_log;
+    const std::vector<std::byte> bytes = saved(queue);
     EventQueue restored;
     StateReader reader(bytes);
-    restored.loadState(reader, loggingFactory(restored_log));
+    restored.loadState(reader);
 
     EXPECT_EQ(restored.now(), queue.now());
     EXPECT_EQ(restored.executedCount(), queue.executedCount());
-    EXPECT_EQ(restored.pendingCount(), queue.pendingCount());
+    EXPECT_EQ(restored.pending().size(), queue.pending().size());
 
-    queue.runAll();
-    restored.runAll();
-
-    // The original log contains the pre-checkpoint t=100 firing too;
-    // the restored queue must replay exactly the post-checkpoint tail.
-    ASSERT_EQ(original_log.size(), 4u);
-    const Fired tail(original_log.begin() + 1, original_log.end());
-    EXPECT_EQ(restored_log, tail);
+    const Fired original_log = drainLogged(queue);
+    const Fired restored_log = drainLogged(restored);
+    ASSERT_EQ(original_log.size(), 3u);
+    EXPECT_EQ(restored_log, original_log);
     EXPECT_EQ(restored.now(), queue.now());
     EXPECT_EQ(restored.executedCount(), queue.executedCount());
 }
@@ -85,49 +75,54 @@ TEST(EventQueueState, RestoredQueueKeepsSchedulingDeterministically)
 {
     // Post-restore scheduling must interleave with restored events the
     // same way it would have in the original queue.
-    Fired log_a;
-    Fired log_b;
     EventQueue queue;
-    scheduleLogged(queue, 100, EventTag{1, 0, 1}, log_a);
-    scheduleLogged(queue, 200, EventTag{1, 0, 2}, log_a);
+    queue.schedule(100, 1, 0, 1);
+    queue.schedule(200, 1, 0, 2);
 
-    StateWriter writer;
-    queue.saveState(writer);
-    const std::vector<std::byte> bytes = writer.release();
-
+    const std::vector<std::byte> bytes = saved(queue);
     EventQueue restored;
     StateReader reader(bytes);
-    restored.loadState(reader, loggingFactory(log_b));
+    restored.loadState(reader);
 
     // Same new event added to both; ties at t=200 must resolve FIFO
     // with the restored event first (it was scheduled first).
-    scheduleLogged(queue, 200, EventTag{1, 0, 3}, log_a);
-    scheduleLogged(restored, 200, EventTag{1, 0, 3}, log_b);
-    queue.runAll();
-    restored.runAll();
-    EXPECT_EQ(log_b, log_a);
+    queue.schedule(200, 1, 0, 3);
+    restored.schedule(200, 1, 0, 3);
+    EXPECT_EQ(drainLogged(restored), drainLogged(queue));
 }
 
-TEST(EventQueueState, UntaggedPendingEventRefusesToSave)
+TEST(EventQueueState, CorruptPendingEventRefusesToLoad)
 {
+    // Payload layout: now, last event, next seq, executed, then the
+    // event vector (u64 count + 32-byte records).
     EventQueue queue;
-    queue.schedule(100, [](SimTime) {});
-    StateWriter writer;
-    EXPECT_THROW(queue.saveState(writer), std::logic_error);
-}
+    queue.schedule(100, 1, 0, 1);
+    queue.pop();
+    queue.schedule(200, 1, 0, 2);
+    const std::vector<std::byte> good = saved(queue);
+    constexpr std::size_t kFirstEvent = 5 * sizeof(std::uint64_t);
 
-TEST(EventQueueState, EmptyFactoryCallbackRefusesToLoad)
-{
-    EventQueue queue;
-    queue.schedule(100, EventTag{1, 0, 0}, [](SimTime) {});
-    StateWriter writer;
-    queue.saveState(writer);
-    const std::vector<std::byte> bytes = writer.release();
+    const auto loads = [](std::vector<std::byte> bytes) {
+        EventQueue restored;
+        StateReader reader(bytes);
+        restored.loadState(reader);
+    };
+    EXPECT_NO_THROW(loads(good));
 
-    EventQueue restored;
-    StateReader reader(bytes);
-    EXPECT_ANY_THROW(restored.loadState(
-        reader, [](const EventTag &) { return EventCallback(); }));
+    // An event before the restored clock.
+    std::vector<std::byte> past = good;
+    const SimTime early = 50;
+    std::memcpy(past.data() + kFirstEvent + offsetof(Event, when), &early,
+                sizeof early);
+    EXPECT_THROW(loads(past), std::runtime_error);
+
+    // A sequence number that was never handed out.
+    for (const std::uint64_t seq : {std::uint64_t{0}, std::uint64_t{3}}) {
+        std::vector<std::byte> unseen = good;
+        std::memcpy(unseen.data() + kFirstEvent + offsetof(Event, seq),
+                    &seq, sizeof seq);
+        EXPECT_THROW(loads(unseen), std::runtime_error) << "seq " << seq;
+    }
 }
 
 } // namespace

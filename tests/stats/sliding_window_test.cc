@@ -5,6 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <stdexcept>
+#include <vector>
+
+#include "sim/serialize.h"
 #include "stats/sliding_window.h"
 
 namespace cidre::stats {
@@ -96,6 +103,39 @@ TEST(SlidingWindow, ErrorsOnEmptyQueries)
 TEST(SlidingWindow, RejectsZeroCap)
 {
     EXPECT_THROW(SlidingWindow(minutes(1), 0), std::invalid_argument);
+}
+
+TEST(SlidingWindow, LoadRejectsAForeignShapeBeforeAllocating)
+{
+    // Payload layout: horizon, cap, sum, epoch, count, samples.
+    SlidingWindow w(minutes(15), 64);
+    w.add(sec(1), 10.0);
+    w.add(sec(2), 30.0);
+    sim::StateWriter writer;
+    w.saveState(writer);
+    const std::vector<std::byte> good = writer.release();
+
+    const auto loads = [](const std::vector<std::byte> &bytes) {
+        SlidingWindow restored(minutes(15), 64);
+        sim::StateReader reader(bytes);
+        restored.loadState(reader);
+        return restored.count();
+    };
+    EXPECT_EQ(loads(good), 2u);
+
+    const auto patched = [&good](std::size_t at, std::uint64_t value) {
+        std::vector<std::byte> bytes = good;
+        std::memcpy(bytes.data() + at, &value, sizeof value);
+        return bytes;
+    };
+    EXPECT_THROW(loads(patched(0, sec(1))), std::runtime_error);
+    EXPECT_THROW(loads(patched(8, 65)), std::runtime_error);
+    // A huge cap with a matching huge count must be refused by the
+    // cap check, not reach the ring allocation.
+    std::vector<std::byte> huge = patched(8, std::uint64_t{1} << 40);
+    const std::uint64_t count = std::uint64_t{1} << 40;
+    std::memcpy(huge.data() + 32, &count, sizeof count);
+    EXPECT_THROW(loads(huge), std::runtime_error);
 }
 
 } // namespace
