@@ -231,15 +231,14 @@ measureShardedTrial(const trace::Trace &workload, std::uint32_t cells,
 
     ShardRun run;
     run.shards = shards;
-    sim::ThreadPool pool(
-        sim::ThreadPoolOptions{shards, sim::kDefaultPoolSpin, pin_cpus});
+    sim::ThreadPool pool(shards, pin_cpus);
     for (int rep = 0; rep < reps; ++rep) {
         core::ShardedEngine engine(
             workload, config, [](const core::EngineConfig &cell_config) {
                 return policies::makePolicy("cidre", cell_config);
             });
         const auto started = std::chrono::steady_clock::now();
-        engine.run(shards > 1 ? &pool : nullptr, pin_cpus);
+        engine.run(shards > 1 ? &pool : nullptr);
         const double wall_ms =
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - started)

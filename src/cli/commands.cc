@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -130,9 +131,8 @@ loadWorkload(const Options &options,
     return loadWorkloadWithSeed(options, baseSeed(options), mode);
 }
 
-/** Sweep knobs shared by `run --trials` and `compare`. */
-const std::vector<OptionSpec> kSweepSpecs = {
-    {"trials", "n", "independent trials (seed substreams)", "1"},
+/** Parallelism knobs shared by `run`, `compare` and `tune`. */
+const std::vector<OptionSpec> kParallelSpecs = {
     {"jobs", "n", "total worker threads (0 = all cores)", "0"},
     {"shards", "n", "threads per sharded trial (results-neutral; needs"
                     " --cells > 1)", "1"},
@@ -142,9 +142,18 @@ const std::vector<OptionSpec> kSweepSpecs = {
 };
 
 void
+appendParallelSpecs(std::vector<OptionSpec> &specs)
+{
+    specs.insert(specs.end(), kParallelSpecs.begin(), kParallelSpecs.end());
+}
+
+/** Sweep knobs of `run` and `compare`: --trials, then parallelism. */
+void
 appendSweepSpecs(std::vector<OptionSpec> &specs)
 {
-    specs.insert(specs.end(), kSweepSpecs.begin(), kSweepSpecs.end());
+    specs.push_back({"trials", "n", "independent trials (seed substreams)",
+                     "1"});
+    appendParallelSpecs(specs);
 }
 
 exp::RunnerOptions
@@ -159,24 +168,28 @@ runnerOptions(const Options &options, std::ostream &err)
 }
 
 /**
- * The workloads of an n-trial sweep.  A trace file is one shared
- * workload — a `.ctrb` image is mmapped once and its read-only pages
- * are shared by every trial across all --jobs × --shards workers —
- * and trials then only vary the engine seed.  Synthetic trials replay
- * per-trial traces generated from seed substreams — trial i is the
- * workload of substreamSeed(base_seed, i), generated in parallel but
- * fully determined by (base_seed, i).
+ * The workloads of an n-trial sweep.  One trial replays the loaded
+ * workload; n synthetic trials replay per-trial traces generated from
+ * seed substreams — trial i is the workload of
+ * substreamSeed(base_seed, i), generated in parallel but fully
+ * determined by (base_seed, i).  A trace file is rejected for n > 1:
+ * every trial would replay the same trace to the same metrics.
  */
 std::vector<Workload>
 loadTrialWorkloads(const Options &options, std::uint64_t trials,
                    unsigned jobs)
 {
-    if (options.has("trace") || trials <= 1) {
-        std::vector<Workload> workloads;
-        workloads.push_back(loadWorkload(options));
-        return workloads;
+    if (trials > 1 && options.has("trace")) {
+        throw std::invalid_argument(
+            "--trials > 1 needs a synthetic workload (--kind): every"
+            " trial of one --trace replays the same requests to the same"
+            " metrics");
     }
     std::vector<Workload> workloads(trials);
+    if (trials == 1) {
+        workloads[0] = loadWorkload(options);
+        return workloads;
+    }
     const std::uint64_t base = baseSeed(options);
     exp::parallelFor(jobs, trials, [&](std::size_t i) {
         workloads[i] = loadWorkloadWithSeed(
@@ -261,14 +274,60 @@ registryPolicy(const std::string &policy)
     };
 }
 
+/**
+ * The sweep of `run --trials N` and `compare`: every policy × trial
+ * pair is one independent simulation, fanned across the runner's
+ * pools.  Returns each policy's trials folded in trial order, so the
+ * output is byte-identical for any --jobs/--shards value.
+ */
+std::vector<core::RunMetrics>
+runSweep(const Options &options, const std::vector<std::string> &policies,
+         std::uint64_t trials, core::EngineConfig config,
+         const exp::RunnerOptions &runner_options, std::ostream &err)
+{
+    const std::vector<Workload> workloads =
+        loadTrialWorkloads(options, trials, runner_options.jobs);
+    resolveAutoCells(options, workloads[0].view(), config,
+                     runner_options.shards, err);
+    if (config.shard_cells > 1) {
+        for (const Workload &workload : workloads)
+            if (workload.image)
+                workload.image->adviseShardedGather();
+    }
+    std::vector<exp::TrialSpec> specs;
+    specs.reserve(policies.size() * trials);
+    for (const std::string &policy : policies) {
+        for (std::uint64_t i = 0; i < trials; ++i) {
+            exp::TrialSpec spec;
+            spec.label = policy + "/t" + std::to_string(i);
+            spec.workload = workloads[i].view();
+            spec.policy = policy;
+            spec.config = config;
+            spec.base_seed = baseSeed(options);
+            spec.trial_index = i;
+            specs.push_back(std::move(spec));
+        }
+    }
+    exp::ExperimentRunner runner(runner_options);
+    std::vector<exp::TrialResult> results = runner.run(specs);
+    std::vector<core::RunMetrics> merged;
+    for (std::size_t p = 0; p < policies.size(); ++p) {
+        const auto first =
+            std::make_move_iterator(results.begin() + p * trials);
+        merged.push_back(exp::mergedMetrics({first, first + trials}));
+    }
+    return merged;
+}
+
 // ---- stepped replay (out-of-core streaming + checkpoint/restore) --------
 
 /**
- * The `run` knobs that switch from one-shot execution to the stepped
- * driver: windowed streaming replay, periodic checkpoints, resume and
- * early stop.  All of them are results-neutral — the stepped loop's
- * step boundaries never change metrics (pinned by the golden tests),
- * so a resumed run is bit-identical to an uninterrupted one.
+ * The `run` knobs that give the stepped driver boundaries to stop at:
+ * windowed streaming replay, periodic checkpoints, resume and early
+ * stop.  All of them are results-neutral — the stepped loop's step
+ * boundaries never change metrics (pinned by the golden tests), so a
+ * resumed run is bit-identical to an uninterrupted one.  With none set
+ * the driver runs the trial in one step.
  */
 struct SteppedKnobs
 {
@@ -327,11 +386,12 @@ struct SteppedOutcome
 };
 
 /**
- * Run one trial through the stepped driver.  The loop steps the engine
- * to the next enabled boundary — window advice, periodic checkpoint,
- * or --stop-at-sec — in simulated-time order; boundaries are absolute
- * multiples of their cadence, so a resumed run visits exactly the
- * boundaries the uninterrupted run would have.
+ * Run one trial through the stepped driver, cells on a `--shards` pool
+ * pinned per `--pin`.  The loop steps the engine to the next enabled
+ * boundary — window advice, periodic checkpoint, or --stop-at-sec — in
+ * simulated-time order; boundaries are absolute multiples of their
+ * cadence, so a resumed run visits exactly the boundaries the
+ * uninterrupted run would have.
  */
 SteppedOutcome
 driveSteppedTrial(const SteppedKnobs &knobs, const std::string &policy,
@@ -349,6 +409,17 @@ driveSteppedTrial(const SteppedKnobs &knobs, const std::string &policy,
     if (knobs.stream_window > 0 && workload.image)
         window.emplace(*workload.image, knobs.stream_window);
 
+    std::optional<sim::ThreadPool> pool;
+    if (config.shard_cells > 1 && runner_options.shards > 1) {
+        pool.emplace(runner_options.shards,
+                     sim::resolvePinCpus(runner_options.pin,
+                                         sim::CpuTopology::detect(),
+                                         runner_options.shards));
+    }
+    sim::ThreadPool *pool_ptr = pool ? &*pool : nullptr;
+
+    if (config.shard_cells > 1 && workload.image)
+        workload.image->adviseShardedGather();
     core::ShardedEngine engine(view, config, registryPolicy(policy));
 
     // Restore preamble: the driver's simulated time, then the engine
@@ -356,7 +427,7 @@ driveSteppedTrial(const SteppedKnobs &knobs, const std::string &policy,
     // the engine state always matches this configuration.
     sim::SimTime start_time = 0;
     if (knobs.resume_path.empty()) {
-        engine.begin();
+        engine.begin(pool_ptr);
     } else {
         const std::vector<std::byte> payload =
             core::readCheckpointFile(knobs.resume_path, fingerprint);
@@ -368,11 +439,6 @@ driveSteppedTrial(const SteppedKnobs &knobs, const std::string &policy,
         throw std::invalid_argument(
             "run: --stop-at-sec must lie past the resume point");
     }
-
-    std::optional<sim::ThreadPool> pool;
-    if (config.shard_cells > 1 && runner_options.shards > 1)
-        pool.emplace(runner_options.shards);
-    sim::ThreadPool *pool_ptr = pool ? &*pool : nullptr;
 
     const auto writeCkpt = [&](sim::SimTime now) {
         sim::StateWriter writer;
@@ -758,19 +824,14 @@ runSimulate(const Options &options, std::ostream &out, std::ostream &err)
     config.record_timeline = options.getFlag("timeline");
     config.slo_us = sim::msec(options.getInt("slo-ms", 0));
 
-    // Validate sweep options up front so e.g. a malformed --jobs is
-    // rejected even on the single-trial path that never uses it.
+    // Parse the parallelism options up front: one trial uses --shards
+    // and --pin, and a malformed --jobs is rejected there too.
     const exp::RunnerOptions runner_options = runnerOptions(options, err);
     const SteppedKnobs stepped = steppedKnobs(options);
 
     core::RunMetrics metrics;
     Workload single_workload;
-    if (stepped.enabled()) {
-        if (trials != 1) {
-            throw std::invalid_argument(
-                "run: --stream-window-sec/--checkpoint/--resume-from/"
-                "--stop-at-sec need --trials 1 (one engine, one cursor)");
-        }
+    if (trials == 1) {
         single_workload = loadWorkload(
             options, stepped.stream_window > 0
                          ? trace::TraceOpenMode::Streaming
@@ -783,7 +844,7 @@ runSimulate(const Options &options, std::ostream &out, std::ostream &err)
                 " gather the columns out of arrival order, so a windowed"
                 " cursor cannot bound their residency)");
         }
-        const SteppedOutcome outcome = driveSteppedTrial(
+        SteppedOutcome outcome = driveSteppedTrial(
             stepped, policy, config, single_workload, runner_options, err);
         if (outcome.stopped_early) {
             out << "stopped at " << sim::toSec(outcome.stop_time)
@@ -791,53 +852,21 @@ runSimulate(const Options &options, std::ostream &out, std::ostream &err)
                 << "); resume with --resume-from\n";
             return checkMaxRss(options, err);
         }
-        metrics = outcome.metrics;
-    } else if (trials == 1) {
-        single_workload = loadWorkload(options);
-        resolveAutoCells(options, single_workload.view(), config,
-                         runner_options.shards, err);
-        if (config.shard_cells > 1 && single_workload.image)
-            single_workload.image->adviseShardedGather();
-        core::ShardedEngine engine(single_workload.view(), config,
-                                   registryPolicy(policy));
-        const unsigned shards = runner_options.shards;
-        if (config.shard_cells > 1 && shards > 1) {
-            const std::vector<int> pin_cpus = sim::resolvePinCpus(
-                runner_options.pin, sim::CpuTopology::detect(), shards);
-            sim::ThreadPool pool(sim::ThreadPoolOptions{
-                shards, sim::kDefaultPoolSpin, pin_cpus});
-            metrics = engine.run(&pool, pin_cpus);
-        } else {
-            metrics = engine.run();
-        }
+        metrics = std::move(outcome.metrics);
     } else {
+        if (stepped.enabled()) {
+            throw std::invalid_argument(
+                "run: --stream-window-sec/--checkpoint/--resume-from/"
+                "--stop-at-sec need --trials 1 (one engine, one cursor)");
+        }
         if (top > 0 || config.record_timeline) {
             throw std::invalid_argument(
                 "run: --top-functions/--timeline need --trials 1 (the"
                 " per-request log and timeline are per-trial views)");
         }
-        const std::vector<Workload> workloads =
-            loadTrialWorkloads(options, trials, runner_options.jobs);
-        resolveAutoCells(options, workloads[0].view(), config,
-                         runner_options.shards, err);
-        if (config.shard_cells > 1) {
-            for (const Workload &workload : workloads)
-                if (workload.image)
-                    workload.image->adviseShardedGather();
-        }
-        std::vector<exp::TrialSpec> specs(trials);
-        for (std::uint64_t i = 0; i < trials; ++i) {
-            exp::TrialSpec &spec = specs[i];
-            spec.label = policy + "/t" + std::to_string(i);
-            spec.workload =
-                workloads[workloads.size() == 1 ? 0 : i].view();
-            spec.policy = policy;
-            spec.config = config;
-            spec.base_seed = baseSeed(options);
-            spec.trial_index = i;
-        }
-        exp::ExperimentRunner runner(runner_options);
-        metrics = exp::mergedMetrics(runner.run(specs));
+        std::vector<core::RunMetrics> merged = runSweep(
+            options, {policy}, trials, config, runner_options, err);
+        metrics = std::move(merged[0]);
         out << "trials: " << trials << " (seed substreams of "
             << baseSeed(options) << ")\n";
     }
@@ -1070,38 +1099,11 @@ runCompare(const Options &options, std::ostream &out, std::ostream &err)
         static_cast<std::uint64_t>(options.getInt("trials", 1));
     if (trials == 0)
         throw std::invalid_argument("compare: --trials must be >= 1");
-    core::EngineConfig config = engineConfig(options);
+    const core::EngineConfig config = engineConfig(options);
 
-    // Every policy × trial pair is one independent simulation; fan them
-    // all across the worker pool and reduce per policy in trial order,
-    // so the table is byte-identical for any --jobs value.
     const exp::RunnerOptions runner_options = runnerOptions(options, err);
-    const std::vector<Workload> workloads =
-        loadTrialWorkloads(options, trials, runner_options.jobs);
-    resolveAutoCells(options, workloads[0].view(), config,
-                     runner_options.shards, err);
-    if (config.shard_cells > 1) {
-        for (const Workload &workload : workloads)
-            if (workload.image)
-                workload.image->adviseShardedGather();
-    }
-    std::vector<exp::TrialSpec> specs;
-    specs.reserve(names.size() * trials);
-    for (const std::string &name : names) {
-        for (std::uint64_t i = 0; i < trials; ++i) {
-            exp::TrialSpec spec;
-            spec.label = name + "/t" + std::to_string(i);
-            spec.workload =
-                workloads[workloads.size() == 1 ? 0 : i].view();
-            spec.policy = name;
-            spec.config = config;
-            spec.base_seed = baseSeed(options);
-            spec.trial_index = i;
-            specs.push_back(std::move(spec));
-        }
-    }
-    exp::ExperimentRunner runner(runner_options);
-    const std::vector<exp::TrialResult> results = runner.run(specs);
+    const std::vector<core::RunMetrics> merged =
+        runSweep(options, names, trials, config, runner_options, err);
 
     if (trials > 1) {
         out << "trials: " << trials << " per policy (seed substreams of "
@@ -1110,9 +1112,7 @@ runCompare(const Options &options, std::ostream &out, std::ostream &err)
     stats::Table table({"policy", "overhead %", "cold %", "delayed %",
                         "warm %", "E2E p50 ms", "created"});
     for (std::size_t p = 0; p < names.size(); ++p) {
-        core::RunMetrics m = results[p * trials].metrics;
-        for (std::uint64_t i = 1; i < trials; ++i)
-            m.merge(results[p * trials + i].metrics);
+        const core::RunMetrics &m = merged[p];
         table.addRow(names[p],
                      {m.avgOverheadRatioPct(), m.coldRatio() * 100.0,
                       m.delayedRatio() * 100.0, m.warmRatio() * 100.0,
@@ -1211,15 +1211,7 @@ tuneSpecs()
         appendEngineSpecs(s);
         // Parallelism knobs only: tune derives its trial list from the
         // search driver, so the sweep's --trials knob does not apply.
-        s.push_back({"jobs", "n", "total worker threads (0 = all cores)",
-                     "0"});
-        s.push_back({"shards", "n", "threads per sharded trial"
-                                    " (results-neutral; needs cells > 1)",
-                     "1"});
-        s.push_back({"pin", "mode", "shard-worker CPU pinning:"
-                                    " auto|off|physical (results-neutral)",
-                     "auto"});
-        s.push_back({"progress", "", "per-trial telemetry on stderr", ""});
+        appendParallelSpecs(s);
         return s;
     }();
     return specs;

@@ -137,8 +137,8 @@ ShardedEngine::ShardedEngine(trace::TraceView workload,
     // Sized exactly once: sub-traces (and the views the engines borrow
     // over them) live inside the cells, so the vector must never
     // reallocate after this point.  The cells themselves stay *empty*
-    // until buildCell() — run() materializes each one on the thread
-    // that simulates it, so the expensive state (sub-trace columns,
+    // until buildCell() — begin() materializes each one on the thread
+    // that arms it, so the expensive state (sub-trace columns,
     // cluster, metrics) is first-touched NUMA-locally.
     cells_.resize(plan_.cells.size());
     if (plan_.cells.size() == 1)
@@ -204,40 +204,34 @@ ShardedEngine::buildCell(std::size_t k)
         cell.workload, cell_config, policy_factory_(cell_config));
 }
 
-RunMetrics
-ShardedEngine::run(sim::ThreadPool *pool, const std::vector<int> &pin_cpus)
+void
+ShardedEngine::forCells(sim::ThreadPool *pool,
+                        const std::function<void(std::size_t)> &body)
 {
-    if (ran_)
-        throw std::logic_error("ShardedEngine: run() is single-shot");
-    ran_ = true;
-
-    // Each cell is built *and* run inside its loop body (pin,
-    // first-touch, simulate — one thread, one cell, one node).
-    std::vector<RunMetrics> per_cell(cells_.size());
-    auto body = [this, &per_cell, &pin_cpus](std::size_t k) {
-        sim::ScopedAffinity pin(
-            pin_cpus.empty() ? -1 : pin_cpus[k % pin_cpus.size()]);
-        buildCell(k);
-        per_cell[k] = cells_[k].engine->run();
-    };
     if (pool != nullptr)
         pool->parallelFor(cells_.size(), body);
     else
         for (std::size_t k = 0; k < cells_.size(); ++k)
             body(k);
-    return merge(std::move(per_cell));
+}
+
+RunMetrics
+ShardedEngine::run(sim::ThreadPool *pool)
+{
+    begin(pool);
+    return finish(pool);
 }
 
 void
-ShardedEngine::begin()
+ShardedEngine::begin(sim::ThreadPool *pool)
 {
     if (ran_)
         throw std::logic_error("ShardedEngine: begin() is single-shot");
     ran_ = true;
-    for (std::size_t k = 0; k < cells_.size(); ++k) {
+    forCells(pool, [this](std::size_t k) {
         buildCell(k);
         cells_[k].engine->begin();
-    }
+    });
 }
 
 void
@@ -326,10 +320,9 @@ ShardedEngine::stepUntil(sim::SimTime until, sim::ThreadPool *pool)
         return total;
     }
     std::vector<PaddedCount> executed(cells_.size());
-    auto body = [this, until, &executed](std::size_t k) {
+    pool->parallelFor(cells_.size(), [this, until, &executed](std::size_t k) {
         executed[k].value = cells_[k].engine->stepUntil(until);
-    };
-    pool->parallelFor(cells_.size(), body);
+    });
     std::size_t total = 0;
     for (const auto &count : executed)
         total += count.value;
@@ -345,14 +338,9 @@ ShardedEngine::finish(sim::ThreadPool *pool)
     // Drain every cell; each result lands at its cell index, so the
     // reduction below is independent of completion order.
     std::vector<RunMetrics> per_cell(cells_.size());
-    auto body = [this, &per_cell](std::size_t k) {
+    forCells(pool, [this, &per_cell](std::size_t k) {
         per_cell[k] = cells_[k].engine->finish();
-    };
-    if (pool != nullptr)
-        pool->parallelFor(cells_.size(), body);
-    else
-        for (std::size_t k = 0; k < cells_.size(); ++k)
-            body(k);
+    });
     return merge(std::move(per_cell));
 }
 

@@ -42,14 +42,17 @@
  *
  * ## Execution (wall-clock only — never results)
  *
- * run() takes the two knobs that make the sharded run *fast* without
- * touching what it computes: the pool supplying the shard threads, and
- * a CPU per cell (pin_cpus); bodies pin via sim::ScopedAffinity before
- * touching cell state.  Cells are built lazily *on the thread that runs
- * them* (first-touch), so a cell's sub-trace, cluster state and metrics
- * pages are allocated on the NUMA node of the worker that will simulate
- * it.  CellRuntime is cache-line aligned and per-cell counters are
- * padded, so neighbouring cells never false-share.
+ * There is one driver: begin(pool), any number of stepUntil(t, pool),
+ * then finish(pool); run(pool) is begin(pool) + finish(pool), like
+ * Engine::run().  Each call is one loop over the cells on the pool
+ * supplying the shard threads (nullptr = serially on the caller).
+ * Where those threads run is the pool's business alone
+ * (sim::ThreadPool's pin list); the engine never pins.  begin(pool)
+ * builds every cell *on the thread that arms it* (first-touch), so a
+ * cell's sub-trace, cluster state and metrics pages are allocated on
+ * that thread's NUMA node.  CellRuntime is cache-line aligned and
+ * per-cell counters are padded, so neighbouring cells never
+ * false-share.
  */
 
 #ifndef CIDRE_CORE_SHARDED_ENGINE_H
@@ -153,27 +156,23 @@ class ShardedEngine
     ShardedEngine &operator=(const ShardedEngine &) = delete;
 
     /**
-     * Run the whole trial and return the merged metrics.  @p pool
-     * supplies the shard threads (nullptr = run cells serially on the
-     * calling thread); cell k runs pinned to pin_cpus[k % size] (empty
-     * = unpinned; typically sim::resolvePinCpus(...)).  The result is
-     * bit-identical for every pool and pin list: both are pure
-     * wall-clock knobs.  Single-shot, like Engine::run().
-     *
-     * Cells are built inside the loop bodies (first-touch placement).
+     * Run the whole trial and return the merged metrics: begin(pool)
+     * then finish(pool).  @p pool supplies the shard threads (nullptr
+     * = run cells serially on the calling thread).  The result is
+     * bit-identical for every pool, pinned or not: the pool is a pure
+     * wall-clock knob.  Single-shot, like Engine::run().
      */
-    RunMetrics run(sim::ThreadPool *pool = nullptr,
-                   const std::vector<int> &pin_cpus = {});
+    RunMetrics run(sim::ThreadPool *pool = nullptr);
 
     // ---- stepped execution --------------------------------------------
 
     /**
-     * Arm every cell without executing events.  Single-shot.  Builds
-     * any not-yet-built cell on the calling thread (the manual stepping
-     * API trades first-touch placement for external control; run()
-     * keeps both).
+     * Build and arm every cell without executing events, cells in
+     * parallel on @p pool (nullptr = serially on the calling thread).
+     * Each cell is built on the thread that arms it (first-touch
+     * placement).  Single-shot.
      */
-    void begin();
+    void begin(sim::ThreadPool *pool = nullptr);
 
     /**
      * One step: drive every cell up to and including @p until
@@ -289,11 +288,15 @@ class ShardedEngine
     /**
      * Materialize cell @p k (gather + seal its sub-trace, construct its
      * engine) on the *calling* thread — the first-touch half of NUMA
-     * placement: run() invokes it from the loop body that will simulate
-     * the cell, so the cell's pages are local to that worker's node.
+     * placement: begin() invokes it from the loop body that arms the
+     * cell, so the cell's pages are local to that thread's node.
      * Idempotent; never called concurrently for the same k.
      */
     void buildCell(std::size_t k);
+
+    /** body(k) for every cell, in parallel on @p pool or serially. */
+    void forCells(sim::ThreadPool *pool,
+                  const std::function<void(std::size_t)> &body);
 
     /** Canonical cell-order fold of per-cell results (see finish()). */
     RunMetrics merge(std::vector<RunMetrics> per_cell);

@@ -32,7 +32,7 @@ void
 simulatePrefix(core::ShardedEngine &engine, const TrialSpec &spec,
                sim::ThreadPool *pool)
 {
-    engine.begin();
+    engine.begin(pool);
     if (spec.fork_time > 0)
         engine.stepUntil(spec.fork_time, pool);
 }
@@ -71,13 +71,14 @@ ExperimentRunner::ExperimentRunner(RunnerOptions options)
     shard_threads_ = std::min(std::max(1u, options_.shards), jobs);
     const unsigned outer = std::max(1u, jobs / shard_threads_);
 
-    // Pin shard workers only when there is exactly one shard team:
+    // Pin shard threads only when there is exactly one shard team:
     // concurrent teams resolved against the same physical-core order
-    // would stack onto the same CPUs.  A single team pinned one worker
+    // would stack onto the same CPUs.  A single team pinned one thread
     // per physical core is the topology-honest layout.
+    std::vector<int> pin_cpus;
     if (options_.pin != sim::PinMode::Off && shard_threads_ > 1 &&
         outer == 1) {
-        pin_cpus_ = sim::resolvePinCpus(
+        pin_cpus = sim::resolvePinCpus(
             options_.pin, sim::CpuTopology::detect(), shard_threads_);
     }
 
@@ -86,9 +87,7 @@ ExperimentRunner::ExperimentRunner(RunnerOptions options)
         inner_pools_.reserve(outer);
         for (unsigned slot = 0; slot < outer; ++slot)
             inner_pools_.push_back(std::make_unique<sim::ThreadPool>(
-                sim::ThreadPoolOptions{shard_threads_,
-                                       sim::kDefaultPoolSpin,
-                                       pin_cpus_}));
+                shard_threads_, pin_cpus));
     }
 }
 
@@ -130,34 +129,28 @@ ExperimentRunner::run(const std::vector<TrialSpec> &specs)
         // part of the warm snapshot's fingerprint, so trials of one
         // equivalence class must construct identically; their
         // per-trial substream is injected by at_fork instead (keyed by
-        // the stable trial id).
-        const bool fork_trial = spec.fork_time > 0 || spec.at_fork != nullptr;
+        // the stable trial id).  Every other trial runs on its
+        // substream: cell c of trial t on
+        // substreamSeed(substreamSeed(base, t), c).
         core::EngineConfig config = spec.config;
-        if (!fork_trial)
+        if (spec.fork_time == 0 && spec.at_fork == nullptr)
             config.seed = sim::substreamSeed(spec.base_seed, spec.trial_index);
 
+        // Warm path: restore the prefix snapshot.  Cold path: simulate
+        // the prefix (none when fork_time is 0).  Both then apply the
+        // identical fork hook, so their suffixes are bit-identical.
         TrialResult &result = results[i];
         core::ShardedEngine engine = makeEngine(spec, config);
-        if (fork_trial) {
-            // Warm path: restore the prefix snapshot.  Cold path:
-            // simulate the prefix.  Both then apply the identical fork
-            // hook, so their suffixes are bit-identical.
-            if (spec.warm) {
-                sim::StateReader reader(core::openCheckpointBuffer(
-                    *spec.warm, spec.warm_fingerprint));
-                engine.loadState(reader);
-            } else {
-                simulatePrefix(engine, spec, pool);
-            }
-            if (spec.at_fork)
-                engine.forEachCell(spec.at_fork);
-            result.metrics = engine.finish(pool);
+        if (spec.warm) {
+            sim::StateReader reader(core::openCheckpointBuffer(
+                *spec.warm, spec.warm_fingerprint));
+            engine.loadState(reader);
         } else {
-            // Shard threads only affect wall-clock; the substream space
-            // stays 2-D and positional — cell c of trial t runs on
-            // substreamSeed(substreamSeed(base, t), c).
-            result.metrics = engine.run(pool, pin_cpus_);
+            simulatePrefix(engine, spec, pool);
         }
+        if (spec.at_fork)
+            engine.forEachCell(spec.at_fork);
+        result.metrics = engine.finish(pool);
         result.events_executed = engine.eventsExecuted();
         result.spec_index = i;
         result.label = spec.label;

@@ -28,16 +28,20 @@
  * ## Nested parallelism (jobs × shards)
  *
  * Every trial runs through core::ShardedEngine (one cell passes straight
- * through to core::Engine); a trial whose EngineConfig::shard_cells
- * exceeds 1 can fan its cells across threads.
+ * through to core::Engine) on its one driver: begin (or a warm restore),
+ * an optional step to the fork boundary, then finish.  A trial whose
+ * EngineConfig::shard_cells exceeds 1 fans its cells across threads.
  * The runner owns both layers: shards is first clamped to jobs, then a
  * reusable outer pool of max(1, jobs / shards) threads fans trials, and
  * each outer slot owns a private inner pool of `shards` threads that
  * its trials' cells run on, keeping the total thread count within the
- * `jobs` budget (outer × shards <= jobs).  Shard threads are
- * a pure wall-clock knob — ShardedEngine guarantees bit-identical
- * metrics for any `shards` value — so the determinism contract above is
- * unchanged: results depend on specs alone, never on jobs or shards.
+ * `jobs` budget (outer × shards <= jobs).  With a single outer slot the
+ * inner pool is built with the `--pin` list, so its threads are placed
+ * one per physical core; the engine itself never pins.  Shard threads
+ * and their placement are a pure wall-clock knob — ShardedEngine
+ * guarantees bit-identical metrics for any pool — so the determinism
+ * contract above is unchanged: results depend on specs alone, never on
+ * jobs, shards or pinning.
  */
 
 #ifndef CIDRE_EXP_RUNNER_H
@@ -185,11 +189,11 @@ struct RunnerOptions
     std::ostream *progress = nullptr;
 
     /**
-     * Shard-worker CPU pinning (the `--pin` knob).  Applied only when
-     * a single shard team exists (outer width 1): concurrent teams
-     * pinned to the same physical-core order would stack on the same
-     * CPUs and fight.  Auto additionally requires enough physical
-     * cores (sim::resolvePinCpus).  Purely wall-clock.
+     * Shard-thread CPU pinning (the `--pin` knob), handed to the inner
+     * pool.  Applied only when a single shard team exists (outer width
+     * 1): concurrent teams pinned to the same physical-core order would
+     * stack on the same CPUs and fight.  Auto additionally requires
+     * enough physical cores (sim::resolvePinCpus).  Purely wall-clock.
      */
     sim::PinMode pin = sim::PinMode::Auto;
 };
@@ -251,8 +255,6 @@ class ExperimentRunner
     unsigned outerThreads() const;
     /** Threads applied inside each sharded trial (post-clamp). */
     unsigned shardThreads() const { return shard_threads_; }
-    /** Resolved shard-worker pin order (empty = running unpinned). */
-    const std::vector<int> &pinCpus() const { return pin_cpus_; }
 
   private:
     /** Body of a fan-out: spec index and the slot's inner pool. */
@@ -268,8 +270,6 @@ class ExperimentRunner
 
     RunnerOptions options_;
     unsigned shard_threads_ = 1;
-    /** CPU per cell, per options_.pin (empty = unpinned). */
-    std::vector<int> pin_cpus_;
     /** Fans trials; outer slot s runs its sharded cells on inner s. */
     std::unique_ptr<sim::ThreadPool> outer_pool_;
     /** One per outer slot; empty when shard_threads_ == 1. */

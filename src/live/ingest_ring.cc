@@ -66,7 +66,7 @@ IngestRing::pushBlocking(const IngestRequest &req,
     unsigned spins = 0;
     while (!tryPush(req)) {
         backpressure.fetch_add(1, std::memory_order_relaxed);
-        if (++spins >= sim::kDefaultPoolSpin) {
+        if (++spins >= sim::kPoolSpin) {
             spins = 0;
             std::this_thread::yield();
         }

@@ -4,6 +4,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/thread_pool.h"
 #include "sim/topology.h"
 
 namespace cidre::live {
@@ -32,7 +33,7 @@ runLive(core::ShardedEngine &engine, IngestRing &ring,
                 break;
         }
         if (n == 0) {
-            if (++idle_polls >= options.spin) {
+            if (++idle_polls >= sim::kPoolSpin) {
                 idle_polls = 0;
                 std::this_thread::yield();
             }

@@ -31,7 +31,6 @@
 
 #include "core/sharded_engine.h"
 #include "live/ingest_ring.h"
-#include "sim/thread_pool.h"
 #include "stats/latency_histogram.h"
 
 namespace cidre::live {
@@ -41,8 +40,6 @@ struct OrchestratorOptions
 {
     /** Max requests drained (and admitted) per ring visit. */
     std::size_t batch = 256;
-    /** Empty-ring polls before the consumer yields its core. */
-    unsigned spin = sim::kDefaultPoolSpin;
     /** CPU to pin the admission thread to; -1 = unpinned. */
     int pin_cpu = -1;
 };
@@ -69,10 +66,11 @@ struct LiveStats
 
 /**
  * Drain @p ring into @p engine until @p producers_done is observed with
- * the ring empty, then close the engine's stream.  The engine must
- * already be armed (beginLive()); the caller finishes it (and merges
- * metrics) afterwards — this function owns only the admission loop.
- * Cells are stepped serially on the calling thread.
+ * the ring empty, then close the engine's stream.  After sim::kPoolSpin
+ * empty-ring polls in a row the consumer yields its core.  The engine
+ * must already be armed (beginLive()); the caller finishes it (and
+ * merges metrics) afterwards — this function owns only the admission
+ * loop.  Cells are stepped serially on the calling thread.
  */
 LiveStats runLive(core::ShardedEngine &engine, IngestRing &ring,
                   const std::atomic<bool> &producers_done,

@@ -1,5 +1,7 @@
 #include "sim/thread_pool.h"
 
+#include <utility>
+
 #include "sim/topology.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -20,17 +22,27 @@ cpuRelax()
 #endif
 }
 
+/** Rethrow the exception of the smallest failing index, if any. */
+void
+rethrowFirst(const std::vector<std::exception_ptr> &errors)
+{
+    for (const auto &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
+    }
+}
+
 } // namespace
 
-ThreadPool::ThreadPool(const ThreadPoolOptions &options)
-    : helpers_(options.threads <= 1 ? 0 : options.threads - 1),
-      spin_(options.spin_iterations)
+ThreadPool::ThreadPool(unsigned threads, std::vector<int> pin_cpus)
+    : helpers_(threads <= 1 ? 0 : threads - 1),
+      pin_cpus_(std::move(pin_cpus))
 {
     threads_.reserve(helpers_);
     for (unsigned slot = 1; slot <= helpers_; ++slot) {
-        const int pin_cpu = options.pin_cpus.empty()
+        const int pin_cpu = pin_cpus_.empty()
             ? -1
-            : options.pin_cpus[slot % options.pin_cpus.size()];
+            : pin_cpus_[slot % pin_cpus_.size()];
         threads_.emplace_back(
             [this, slot, pin_cpu] { workerMain(slot, pin_cpu); });
     }
@@ -75,7 +87,7 @@ ThreadPool::workerMain(unsigned slot, int pin_cpu)
         // Spin-then-park: a loop published within the spin budget is
         // picked up without any futex traffic; the park path below
         // re-checks the same predicate under the mutex.
-        for (unsigned i = 0; i < spin_; ++i) {
+        for (unsigned i = 0; i < kPoolSpin; ++i) {
             if (shutdown_.load(std::memory_order_acquire) ||
                 generation_.load(std::memory_order_acquire) != seen)
                 break;
@@ -118,30 +130,36 @@ ThreadPool::parallelFor(std::size_t count, const Body &body)
     if (count == 0)
         return;
 
-    // Serial paths: no helpers, a single index, or a nested call from
-    // inside an active loop (running it inline is deterministic and
-    // deadlock-free).
-    bool expected = false;
-    if (helpers_ == 0 || count == 1 ||
-        !in_loop_.compare_exchange_strong(expected, true)) {
-        std::vector<std::exception_ptr> errors(count);
-        Loop loop;
-        loop.body = &body;
-        loop.count = count;
-        loop.errors = &errors;
-        drain(loop, 0);
-        for (const auto &error : errors) {
-            if (error)
-                std::rethrow_exception(error);
-        }
-        return;
-    }
-
     std::vector<std::exception_ptr> errors(count);
     Loop loop;
     loop.body = &body;
     loop.count = count;
     loop.errors = &errors;
+
+    // A nested call from inside an active loop runs inline on the
+    // thread that made it, which keeps its own slot's placement
+    // (deterministic and deadlock-free).
+    bool expected = false;
+    if (!in_loop_.compare_exchange_strong(expected, true)) {
+        drain(loop, 0);
+        rethrowFirst(errors);
+        return;
+    }
+    {
+        // The caller is slot 0 for the duration of the loop.
+        ScopedAffinity pin(pin_cpus_.empty() ? -1 : pin_cpus_[0]);
+        if (helpers_ == 0 || count == 1)
+            drain(loop, 0);
+        else
+            share(loop);
+    }
+    in_loop_.store(false);
+    rethrowFirst(errors);
+}
+
+void
+ThreadPool::share(Loop &loop)
+{
     {
         std::lock_guard<std::mutex> lock(mutex_);
         active_ = &loop;
@@ -158,22 +176,14 @@ ThreadPool::parallelFor(std::size_t count, const Body &body)
     // never picks the loop up at all.
     drain(loop, 0);
     const auto finished = [&] {
-        return loop.done.load(std::memory_order_acquire) == count &&
+        return loop.done.load(std::memory_order_acquire) == loop.count &&
                participants_.load(std::memory_order_acquire) == 0;
     };
-    for (unsigned i = 0; i < spin_ && !finished(); ++i)
+    for (unsigned i = 0; i < kPoolSpin && !finished(); ++i)
         cpuRelax();
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        done_cv_.wait(lock, finished);
-        active_ = nullptr;
-    }
-    in_loop_.store(false);
-
-    for (const auto &error : errors) {
-        if (error)
-            std::rethrow_exception(error);
-    }
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_cv_.wait(lock, finished);
+    active_ = nullptr;
 }
 
 void

@@ -24,19 +24,30 @@
  * established: claim order may vary between runs; results, landing at
  * their index, never do.
  *
+ * ## Placement (slot s runs on pin_cpus[s % size])
+ *
+ * The pool is the one place that decides where a thread runs.  A pool
+ * built with a pin list gives every slot one CPU: helper slot s pins
+ * itself to pin_cpus[s % size] at spawn, and the calling thread
+ * (slot 0) is pinned to pin_cpus[0] for the duration of each loop and
+ * then gets its previous mask back.  So a thread keeps its CPU however
+ * many indices it claims, and two slots share a CPU only when the pool
+ * has more threads than the list has CPUs.  Pins are best-effort
+ * (sim::pinCurrentThread): a refused pin leaves that thread unpinned.
+ * An empty list never touches affinity at all.
+ *
  * ## Wake-up latency (spin-then-park)
  *
  * A helper that parked on the condvar between two back-to-back loops
  * pays a futex wake plus scheduler latency before it can claim its
  * first index — longer than a short loop itself.  Helpers therefore
- * spin on the (atomic) generation counter for a bounded number of
- * iterations after finishing a loop before parking, and the caller's
- * completion wait spins the same way before blocking.  The budget is a
- * constructor knob (ThreadPoolOptions::spin_iterations): 0 restores
- * the pure condvar behaviour, the default covers gaps of a few
- * microseconds between loops.  Spinning only ever costs the idle
- * helper's own CPU time; correctness is untouched (the park path
- * re-checks the predicate under the mutex that publishes it).
+ * spin on the (atomic) generation counter for kPoolSpin iterations
+ * after finishing a loop before parking, and the caller's completion
+ * wait spins the same way before blocking.  The budget is a constant:
+ * it covers gaps of a few microseconds between loops, and spinning
+ * only ever costs the idle helper's own CPU time; correctness is
+ * untouched (the park path re-checks the predicate under the mutex
+ * that publishes it).
  */
 
 #ifndef CIDRE_SIM_THREAD_POOL_H
@@ -54,27 +65,11 @@
 
 namespace cidre::sim {
 
-/** Default spin budget before a helper/caller parks (iterations). */
-inline constexpr unsigned kDefaultPoolSpin = 1u << 12;
-
-/** Construction-time knobs of a ThreadPool. */
-struct ThreadPoolOptions
-{
-    /** Total threads applied by parallelFor(), caller included. */
-    unsigned threads = 1;
-
-    /** Polls of the wake predicate before parking; 0 = park at once. */
-    unsigned spin_iterations = kDefaultPoolSpin;
-
-    /**
-     * Default CPU affinity of the helper threads: helper slot s pins
-     * itself to pin_cpus[s % size] at spawn (sim::pinCurrentThread
-     * semantics — failure is a silent no-op).  Empty = inherit.  The
-     * calling thread is never pinned by the pool; bodies that need an
-     * exact per-index placement use sim::ScopedAffinity themselves.
-     */
-    std::vector<int> pin_cpus;
-};
+/**
+ * Polls of a wake predicate before a waiting thread parks (the pool's
+ * helpers and caller) or yields (the ingest ring and live consumer).
+ */
+inline constexpr unsigned kPoolSpin = 1u << 12;
 
 /** Fixed set of worker threads executing indexed parallel loops. */
 class ThreadPool
@@ -92,14 +87,11 @@ class ThreadPool
     /**
      * @param threads total threads applied by parallelFor(), including
      *        the calling thread; 0 and 1 both mean "no helpers".
+     * @param pin_cpus slot s runs on pin_cpus[s % size] (see the file
+     *        comment; typically sim::resolvePinCpus(...)); empty =
+     *        unpinned.
      */
-    explicit ThreadPool(unsigned threads)
-        : ThreadPool(ThreadPoolOptions{threads, kDefaultPoolSpin, {}})
-    {
-    }
-
-    /** Full-knob constructor (spin budget, helper affinity). */
-    explicit ThreadPool(const ThreadPoolOptions &options);
+    explicit ThreadPool(unsigned threads, std::vector<int> pin_cpus = {});
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
@@ -110,9 +102,6 @@ class ThreadPool
     /** Total threads applied to a loop (helpers + the caller). */
     unsigned threadCount() const { return helpers_ + 1; }
 
-    /** Configured spin budget (tests, telemetry). */
-    unsigned spinIterations() const { return spin_; }
-
     /** Helpers whose spawn-time pin succeeded (telemetry only). */
     unsigned pinnedHelpers() const
     {
@@ -121,12 +110,14 @@ class ThreadPool
 
     /**
      * Run body(0) ... body(count-1), returning when all ran.  The
-     * calling thread participates; helper threads assist.  If bodies
-     * throw, the exception of the smallest failing index is rethrown
-     * after the loop drains.
+     * calling thread participates as slot 0 (pinned for the loop's
+     * duration when the pool has a pin list); helper threads assist.
+     * If bodies throw, the exception of the smallest failing index is
+     * rethrown after the loop drains.
      *
      * Not reentrant: a nested call from inside a body (same pool) runs
-     * its loop serially on the calling thread rather than deadlocking.
+     * its loop serially on the calling thread, where it is, rather than
+     * deadlocking.
      */
     void parallelFor(std::size_t count, const Body &body);
 
@@ -145,11 +136,14 @@ class ThreadPool
     };
 
     void workerMain(unsigned slot, int pin_cpu);
+    /** Publish @p loop to the helpers, drain it, wait for stragglers. */
+    void share(Loop &loop);
     /** Claim-and-run until the loop is exhausted. */
     static void drain(Loop &loop, unsigned slot);
 
     unsigned helpers_ = 0;
-    unsigned spin_ = kDefaultPoolSpin;
+    /** Slot s runs on pin_cpus_[s % size]; empty = unpinned. */
+    std::vector<int> pin_cpus_;
     std::vector<std::thread> threads_;
     std::atomic<unsigned> pinned_helpers_{0};
 

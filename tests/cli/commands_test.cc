@@ -233,6 +233,38 @@ TEST(CidreSim, ResumedRunMatchesUninterruptedRunByteForByte)
     }
 }
 
+TEST(CidreSim, TrialsOverOneTraceFileAreRejected)
+{
+    // Nothing in the engine draws from the per-trial seed, so N trials
+    // of one trace file would be N copies of the same simulation.
+    const std::string path =
+        ::testing::TempDir() + "cidre_sim_trials_trace.csv";
+    const RunResult gen = invoke({"generate", "--out", path, "--kind",
+                                  "azure", "--scale", "0.02", "--seed",
+                                  "4"});
+    ASSERT_EQ(gen.status, 0) << gen.err;
+
+    const RunResult run = invoke({"run", "--trace", path, "--cache-gb",
+                                  "20", "--trials", "2"});
+    EXPECT_EQ(run.status, 2);
+    EXPECT_NE(run.err.find("--trials > 1 needs a synthetic workload"),
+              std::string::npos)
+        << run.err;
+
+    const RunResult compare =
+        invoke({"compare", "--trace", path, "--cache-gb", "20",
+                "--policies", "cidre,ttl", "--trials", "2"});
+    EXPECT_EQ(compare.status, 2);
+    EXPECT_NE(compare.err.find("--trials > 1 needs a synthetic workload"),
+              std::string::npos)
+        << compare.err;
+
+    // One trial of the same file still runs.
+    EXPECT_EQ(invoke({"run", "--trace", path, "--cache-gb", "20"}).status,
+              0);
+    std::remove(path.c_str());
+}
+
 TEST(CidreSim, ErrorsAreReported)
 {
     const RunResult bad_kind =

@@ -392,10 +392,9 @@ TEST(ShardedEngine, PinningIsResultsNeutral)
 
     const auto runWith = [&](const std::vector<int> &pin_cpus,
                              unsigned threads) {
-        sim::ThreadPool pool(sim::ThreadPoolOptions{
-            threads, sim::kDefaultPoolSpin, pin_cpus});
+        sim::ThreadPool pool(threads, pin_cpus);
         core::ShardedEngine engine(workload, config, factoryFor("cidre"));
-        return metricsFingerprint(engine.run(&pool, pin_cpus));
+        return metricsFingerprint(engine.run(&pool));
     };
 
     const std::string unpinned = runWith({}, 2);

@@ -1,17 +1,24 @@
 /**
  * @file
- * ThreadPool configuration tests: the spin-then-park budget knob, the
- * helper-affinity option, serial nested dispatch, and that every
- * configuration still runs loops to completion with each index claimed
- * exactly once.  (Determinism across thread counts is pinned by the
- * runner and sharded-engine suites; this file covers the knobs.)
+ * ThreadPool configuration tests: the pin list (best-effort, and exact
+ * per-slot placement with the caller restored after each loop), serial
+ * nested dispatch, and that every configuration still runs loops to
+ * completion with each index claimed exactly once.  (Determinism across
+ * thread counts is pinned by the runner and sharded-engine suites; this
+ * file covers construction and placement.)
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "sim/thread_pool.h"
 #include "sim/topology.h"
@@ -31,28 +38,28 @@ expectCompleteLoop(sim::ThreadPool &pool, std::size_t count)
         EXPECT_EQ(claimed[i].load(), 1) << "index " << i;
 }
 
+/** The calling thread's affinity mask, ascending (empty = unknown). */
+std::vector<int>
+currentMask()
+{
+    std::vector<int> cpus;
+#if defined(__linux__)
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+        for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu)
+            if (CPU_ISSET(cpu, &set))
+                cpus.push_back(cpu);
+    }
+#endif
+    return cpus;
+}
+
 TEST(ThreadPoolOptions, DefaultsMatchTheLegacyConstructor)
 {
     sim::ThreadPool pool(3);
     EXPECT_EQ(pool.threadCount(), 3u);
-    EXPECT_EQ(pool.spinIterations(), sim::kDefaultPoolSpin);
     expectCompleteLoop(pool, 64);
-}
-
-TEST(ThreadPoolOptions, ZeroSpinParksImmediatelyAndStillCompletes)
-{
-    sim::ThreadPool pool(sim::ThreadPoolOptions{4, 0, {}});
-    EXPECT_EQ(pool.spinIterations(), 0u);
-    // Repeated dispatches force the helpers through park/wake cycles.
-    for (int round = 0; round < 20; ++round)
-        expectCompleteLoop(pool, 33);
-}
-
-TEST(ThreadPoolOptions, LargeSpinBudgetStillCompletes)
-{
-    sim::ThreadPool pool(sim::ThreadPoolOptions{2, 1u << 22, {}});
-    for (int round = 0; round < 20; ++round)
-        expectCompleteLoop(pool, 7);
 }
 
 TEST(ThreadPoolOptions, PinCpusIsBestEffortAndResultsNeutral)
@@ -61,19 +68,58 @@ TEST(ThreadPoolOptions, PinCpusIsBestEffortAndResultsNeutral)
     // refused pin (sandbox, bogus id) degrades to unpinned.  Either
     // way the loop contract is untouched.
     const auto topology = sim::CpuTopology::detect();
-    sim::ThreadPoolOptions options;
-    options.threads = 3;
-    options.pin_cpus = topology.pinOrder();
-    sim::ThreadPool pool(options);
+    sim::ThreadPool pool(3, topology.pinOrder());
     expectCompleteLoop(pool, 100);
     EXPECT_LE(pool.pinnedHelpers(), 2u); // at most the helper count
 
-    sim::ThreadPoolOptions bogus;
-    bogus.threads = 2;
-    bogus.pin_cpus = {1 << 20}; // no such CPU: pin fails, helper runs
-    sim::ThreadPool unpinnable(bogus);
+    // No such CPU: every pin fails, every thread runs.
+    sim::ThreadPool unpinnable(2, {1 << 20});
     expectCompleteLoop(unpinnable, 50);
     EXPECT_EQ(unpinnable.pinnedHelpers(), 0u);
+}
+
+TEST(ThreadPool, EverySlotRunsOnItsPinnedCpuAndTheCallerIsRestored)
+{
+    const std::vector<int> original = currentMask();
+    if (original.empty())
+        GTEST_SKIP() << "no affinity mask on this platform";
+    {
+        sim::ScopedAffinity probe(original.back());
+        if (!probe.pinned())
+            GTEST_SKIP() << "the kernel refuses sim::pinCurrentThread here";
+    }
+    ASSERT_EQ(currentMask(), original);
+
+    // CPUs this process may use, highest first (so slot 0 is not simply
+    // the first allowed CPU), one fewer than the threads so the last
+    // slot wraps onto pin_cpus[0].
+    std::vector<int> pins(original.rbegin(), original.rend());
+    if (pins.size() > 3)
+        pins.resize(3);
+    const auto threads = static_cast<unsigned>(pins.size() + 1);
+    sim::ThreadPool pool(threads, pins);
+
+    for (int round = 0; round < 3; ++round) {
+        // Each body holds its thread until every slot has started one,
+        // so each of the pool's threads runs exactly one index.
+        std::atomic<unsigned> started{0};
+        std::vector<std::vector<int>> mask_of_slot(threads);
+        pool.parallelFor(threads, [&](std::size_t, unsigned slot) {
+            mask_of_slot[slot] = currentMask();
+            started.fetch_add(1);
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (started.load() < threads &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::yield();
+        });
+        for (unsigned slot = 0; slot < threads; ++slot) {
+            EXPECT_EQ(mask_of_slot[slot],
+                      std::vector<int>{pins[slot % pins.size()]})
+                << "slot " << slot << ", round " << round;
+        }
+        EXPECT_EQ(currentMask(), original) << "round " << round;
+    }
 }
 
 TEST(ThreadPool, NestedDispatchRunsSeriallyInsteadOfDeadlocking)
