@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "core/sharded_engine.h"
+#include "golden_policies.h"
 #include "policies/registry.h"
 #include "sim/thread_pool.h"
 #include "trace/generators.h"
@@ -49,12 +50,6 @@ const char *const kPlainGoldenPath =
     CIDRE_GOLDEN_DIR "/golden_headline.json";
 const char *const kShardedGoldenPath =
     CIDRE_GOLDEN_DIR "/golden_headline_sharded.json";
-
-/** Same pairs as the plain golden (see golden_headline_test.cc). */
-const std::vector<std::string> kPolicyPairs = {
-    "cidre",     "cidre-bss", "css-alone", "bss-alone",
-    "cip-alone", "faascache", "ttl",
-};
 
 /** Same fixed workload as the plain golden. */
 trace::Trace
@@ -76,12 +71,14 @@ exact(double value)
 }
 
 /**
- * The golden document for @p cells cells executed on @p shard_threads
- * threads; identical formatting to the plain golden builder so the
- * cells == 1 output is comparable to golden_headline.json byte-wise.
+ * The golden document for @p names on @p cells cells executed on
+ * @p shard_threads threads; identical formatting to the plain golden
+ * builder so the cells == 1 output is comparable to golden_headline.json
+ * byte-wise.
  */
 std::string
-currentDocument(std::uint32_t cells, unsigned shard_threads)
+currentDocument(const std::vector<std::string> &names,
+                std::uint32_t cells, unsigned shard_threads)
 {
     const trace::Trace workload = goldenTrace();
     core::EngineConfig config;
@@ -92,8 +89,8 @@ currentDocument(std::uint32_t cells, unsigned shard_threads)
     sim::ThreadPool pool(shard_threads);
     std::ostringstream doc;
     doc << "{\n";
-    for (std::size_t i = 0; i < kPolicyPairs.size(); ++i) {
-        const std::string &policy = kPolicyPairs[i];
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const std::string &policy = names[i];
         core::ShardedEngine engine(
             workload, config,
             [&policy](const core::EngineConfig &cell_config) {
@@ -114,7 +111,7 @@ currentDocument(std::uint32_t cells, unsigned shard_threads)
             << ", \"cold_ratio\": " << exact(m.coldRatio())
             << ", \"avg_memory_gb\": " << exact(m.avgMemoryGb())
             << ", \"memory_gb_s\": " << exact(memory_gb_s) << "}"
-            << (i + 1 < kPolicyPairs.size() ? "," : "") << "\n";
+            << (i + 1 < names.size() ? "," : "") << "\n";
     }
     doc << "}\n";
     return doc.str();
@@ -134,19 +131,20 @@ TEST(GoldenHeadlineSharded, PassThroughMatchesPlainGoldenForAnyShards)
 {
     const std::string golden = readFileOrFail(kPlainGoldenPath);
     ASSERT_FALSE(golden.empty());
-    EXPECT_EQ(currentDocument(1, 1), golden)
+    const std::vector<std::string> names = goldenPolicyNames();
+    EXPECT_EQ(currentDocument(names, 1, 1), golden)
         << "ShardedEngine with one cell diverged from the plain engine";
-    EXPECT_EQ(currentDocument(1, 2), golden);
-    EXPECT_EQ(currentDocument(1, 4), golden);
+    EXPECT_EQ(currentDocument(names, 1, 2), golden);
+    EXPECT_EQ(currentDocument(names, 1, 4), golden);
 }
 
 TEST(GoldenHeadlineSharded, PartitionedModelBitIdenticalAcrossShards)
 {
     // 3 workers -> at most 3 cells; pin the maximal partition.
-    const std::string current = currentDocument(3, 1);
-    EXPECT_EQ(current, currentDocument(3, 2))
+    const std::string current = currentDocument(kCorePolicyPairs, 3, 1);
+    EXPECT_EQ(current, currentDocument(kCorePolicyPairs, 3, 2))
         << "shard thread count leaked into partitioned results";
-    EXPECT_EQ(current, currentDocument(3, 4));
+    EXPECT_EQ(current, currentDocument(kCorePolicyPairs, 3, 4));
 
     if (std::getenv("CIDRE_UPDATE_GOLDEN") != nullptr) {
         std::ofstream out(kShardedGoldenPath);

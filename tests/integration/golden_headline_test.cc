@@ -1,8 +1,9 @@
 /**
  * @file
- * Golden regression test: headline metrics of every scaling×keep-alive
- * policy pair on one fixed 200-function seed trace, compared EXACTLY
- * (string-identical formatted values) against checked-in golden JSON.
+ * Golden regression test: headline metrics of every registered policy
+ * (golden_policies.h) on one fixed 200-function seed trace, compared
+ * EXACTLY (string-identical formatted values) against checked-in golden
+ * JSON.
  *
  * The engine is a deterministic discrete-event simulator, so any
  * difference — one request classified differently, one eviction in
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "golden_policies.h"
 #include "policies/registry.h"
 #include "trace/generators.h"
 
@@ -42,16 +44,6 @@ namespace {
 
 const char *const kGoldenPath =
     CIDRE_GOLDEN_DIR "/golden_headline.json";
-
-/**
- * The scaling×keep-alive pairs under pin (registry spellings):
- *   CSS+CIP, BSS+CIP, CSS+GDSF, BSS+GDSF, vanilla+CIP, vanilla+GDSF,
- *   vanilla+TTL.
- */
-const std::vector<std::string> kPolicyPairs = {
-    "cidre",     "cidre-bss", "css-alone", "bss-alone",
-    "cip-alone", "faascache", "ttl",
-};
 
 /** Fixed workload: 200 functions, 8 minutes, seed 42, Azure-like. */
 trace::Trace
@@ -81,10 +73,11 @@ currentDocument()
     config.cluster.workers = 3;
     config.cluster.total_memory_mb = 30 * 1024;
 
+    const std::vector<std::string> names = goldenPolicyNames();
     std::ostringstream doc;
     doc << "{\n";
-    for (std::size_t i = 0; i < kPolicyPairs.size(); ++i) {
-        const std::string &policy = kPolicyPairs[i];
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const std::string &policy = names[i];
         core::Engine engine(workload, config,
                             policies::makePolicy(policy, config));
         const core::RunMetrics m = engine.run();
@@ -101,7 +94,7 @@ currentDocument()
             << ", \"cold_ratio\": " << exact(m.coldRatio())
             << ", \"avg_memory_gb\": " << exact(m.avgMemoryGb())
             << ", \"memory_gb_s\": " << exact(memory_gb_s) << "}"
-            << (i + 1 < kPolicyPairs.size() ? "," : "") << "\n";
+            << (i + 1 < names.size() ? "," : "") << "\n";
     }
     doc << "}\n";
     return doc.str();
