@@ -115,7 +115,7 @@ Cluster::createContainer(trace::FunctionId function, WorkerId worker_id,
     c.full_memory_mb = memory_mb;
     c.threads = threads;
     c.created_at = now;
-    host.noteContainerAdded();
+    host.noteContainerAdded(memory_mb);
     ++cached_count_;
     return id;
 }
@@ -129,7 +129,7 @@ Cluster::destroyContainer(ContainerId id)
     if (c.active > 0)
         throw std::logic_error("Cluster: evicting a busy container");
     worker(c.worker).release(c.memory_mb);
-    worker(c.worker).noteContainerRemoved();
+    worker(c.worker).noteContainerRemoved(c.memory_mb);
     c.memory_mb = 0;
     c.state = ContainerState::Evicted;
     --cached_count_;
@@ -153,6 +153,7 @@ Cluster::compressContainer(ContainerId id, double ratio)
     if (freed < 0)
         throw std::logic_error("Cluster: compression grew the container");
     worker(c.worker).release(freed);
+    worker(c.worker).noteContainerResized(-freed);
     c.memory_mb = compressed_mb;
     c.state = ContainerState::Compressed;
     return freed;
@@ -166,6 +167,7 @@ Cluster::decompressContainer(ContainerId id)
         throw std::logic_error("Cluster: decompressing a non-compressed one");
     const std::int64_t grow = c.full_memory_mb - c.memory_mb;
     worker(c.worker).reserve(grow); // throws if it no longer fits
+    worker(c.worker).noteContainerResized(grow);
     c.memory_mb = c.full_memory_mb;
     c.state = ContainerState::Live;
 }
@@ -254,11 +256,24 @@ Cluster::loadState(sim::StateReader &reader)
         worker.loadState(reader);
     const auto container_count = reader.get<std::uint64_t>();
     containers_.clear();
+    // The MB each worker's containers hold is derived, not saved: sum
+    // it over the restored slab.
+    std::vector<std::int64_t> container_mb(workers_.size(), 0);
     for (std::uint64_t i = 0; i < container_count; ++i) {
-        loadContainer(reader, containers_.emplace_back());
-        if (containers_.back().id != i)
+        const Container &c = containers_.emplace_back();
+        loadContainer(reader, containers_.back());
+        if (c.id != i)
             throw std::runtime_error("Cluster: corrupt container slab");
+        if (c.evicted())
+            continue;
+        if (c.worker >= workers_.size() || c.memory_mb < 0 ||
+            c.memory_mb > workers_[c.worker].capacityMb()) {
+            throw std::runtime_error("Cluster: corrupt container slab");
+        }
+        container_mb[c.worker] += c.memory_mb;
     }
+    for (std::size_t w = 0; w < workers_.size(); ++w)
+        workers_[w].restoreContainerMb(container_mb[w]);
     free_slots_ = reader.getVector<ContainerId>();
     for (const ContainerId slot : free_slots_) {
         if (slot >= containers_.size() || !containers_[slot].evicted())

@@ -275,18 +275,22 @@ Engine::finish()
 void
 Engine::scheduleNextArrival()
 {
+    if (!live_ && arrival_cursor_ >= trace_.requestCount())
+        return;
+    // The next arrival's place in the FIFO order among equal-time
+    // events is decided *here*, in trace and live mode alike.  The
+    // arrival waits in the queue's reserved lane, beside the heap: the
+    // stream is in time order, so it never needs sifting.
+    const std::uint64_t seq = queue_.reserveSeq();
     if (live_) {
-        // The next admission's payload is unknown, but its place in the
-        // FIFO order among equal-time events is decided *here* — the
-        // exact point where trace mode allocates the next arrival's
-        // sequence number.  admit() spends the reservation.
-        live_next_seq_ = queue_.reserveSeq();
+        // The next admission's payload is unknown; admit() spends the
+        // reservation.
+        live_next_seq_ = seq;
         return;
     }
-    if (arrival_cursor_ >= trace_.requestCount())
-        return;
     const std::uint64_t index = arrival_cursor_++;
-    queue_.schedule(trace_.arrivalUs(index), kEvArrival, 0, index);
+    queue_.scheduleReserved(trace_.arrivalUs(index), seq, kEvArrival, 0,
+                            index);
 }
 
 void
@@ -709,6 +713,18 @@ Engine::ensureFreeOn(cluster::WorkerId worker, std::int64_t need_mb,
     for (int round = 0; !host.fits(need_mb); ++round) {
         if (round >= 4)
             return false;
+        // Nothing here can be reclaimed: every policy plans from this
+        // worker's idle list alone, and the only memory held outside
+        // containers is what a policy may shed inside planReclaim
+        // (RainbowCake's layer caches).  With neither, every plan is
+        // empty, so skip the scan.  The one trace a skipped scan leaves
+        // out is CIP's: a bump of its scan counter, whose values are
+        // only ever compared by order, and a rebuild of empty buckets,
+        // which the next scan that finds idle containers redoes.
+        if (worker_idle_[worker].empty() &&
+            host.usedMb() == host.containerMb()) {
+            return false;
+        }
         const ReclaimRequest demand{worker, need_mb - host.freeMb(),
                                     beneficiary, exclude};
         PlanLease plan_lease(plan_scratch_);
@@ -1096,8 +1112,23 @@ Engine::loadState(sim::StateReader &reader)
         throw std::runtime_error(
             "Engine: checkpoint does not match the cluster "
             "(worker count mismatch)");
-    for (auto &list : worker_idle_)
+    const auto &slab = cluster_.allContainers();
+    for (cluster::WorkerId w = 0; w < worker_idle_.size(); ++w) {
+        std::vector<cluster::ContainerId> &list = worker_idle_[w];
         list = reader.getVector<cluster::ContainerId>();
+        // Each entry must be an idle (or compressed) container of this
+        // worker that knows its place in the list.  A slot equal to the
+        // position also rules out an id listed twice.
+        for (std::size_t slot = 0; slot < list.size(); ++slot) {
+            const cluster::ContainerId id = list[slot];
+            if (id >= slab.size() || slab[id].worker != w ||
+                !(slab[id].idle() || slab[id].compressed()) ||
+                slab[id].idle_slot != static_cast<std::int64_t>(slot)) {
+                throw std::runtime_error(
+                    "Engine: checkpoint holds a corrupt worker idle list");
+            }
+        }
+    }
     worker_idle_epoch_ = reader.getVector<std::uint64_t>();
     if (worker_idle_epoch_.size() != worker_idle_.size())
         throw std::runtime_error("Engine: corrupt worker idle epochs");
@@ -1115,9 +1146,20 @@ Engine::loadState(sim::StateReader &reader)
     for (std::uint64_t i = 0; i < deferred_count; ++i) {
         DeferredProvision d;
         d.function = reader.get<trace::FunctionId>();
-        d.reason =
-            static_cast<cluster::ProvisionReason>(reader.get<std::uint8_t>());
+        const auto reason = reader.get<std::uint8_t>();
+        d.reason = static_cast<cluster::ProvisionReason>(reason);
         d.bound_request = reader.get<std::int64_t>();
+        // tryStartProvision reads the function's profile and state and
+        // queues the bound request on the new container.
+        if (d.function >= states_.size() ||
+            reason > static_cast<std::uint8_t>(
+                         cluster::ProvisionReason::Prewarm) ||
+            d.bound_request < -1 ||
+            d.bound_request >=
+                static_cast<std::int64_t>(trace_.requestCount())) {
+            throw std::runtime_error(
+                "Engine: checkpoint holds a corrupt deferred provision");
+        }
         deferred_.push_back(d);
     }
 

@@ -69,19 +69,31 @@ EventQueue::scheduleReserved(SimTime when, std::uint64_t seq,
     if (seq == 0 || seq >= next_seq_)
         throw std::logic_error(
             "EventQueue: sequence number was never reserved");
-    push(Event{when, seq, kind, a, b});
+    if (lane_full_)
+        throw std::logic_error(
+            "EventQueue: a reserved event is already pending");
+    if (when < now_)
+        throw std::logic_error("EventQueue: scheduling into the past");
+    lane_ = Event{when, seq, kind, a, b};
+    lane_full_ = true;
 }
 
 Event
 EventQueue::pop()
 {
-    if (heap_.empty())
-        throw std::logic_error("EventQueue: pop from an empty queue");
-    const Event top = heap_.front();
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty())
-        siftDown(0);
+    Event top;
+    if (lanePopsFirst()) {
+        top = lane_;
+        lane_full_ = false;
+    } else {
+        if (heap_.empty())
+            throw std::logic_error("EventQueue: pop from an empty queue");
+        top = heap_.front();
+        heap_.front() = heap_.back();
+        heap_.pop_back();
+        if (!heap_.empty())
+            siftDown(0);
+    }
     now_ = top.when;
     last_event_ = top.when;
     ++executed_;
@@ -95,7 +107,12 @@ EventQueue::saveState(StateWriter &writer) const
     writer.put(last_event_);
     writer.put(next_seq_);
     writer.put(executed_);
-    writer.putVector(heap_);
+    // The layout of putVector(): a count, then the raw records.
+    writer.put<std::uint64_t>(heap_.size() + (lane_full_ ? 1 : 0));
+    if (!heap_.empty())
+        writer.putBytes(heap_.data(), heap_.size() * sizeof(Event));
+    if (lane_full_)
+        writer.put(lane_);
 }
 
 void
@@ -106,14 +123,14 @@ EventQueue::loadState(StateReader &reader)
     next_seq_ = reader.get<std::uint64_t>();
     executed_ = reader.get<std::uint64_t>();
     heap_ = reader.getVector<Event>();
+    lane_full_ = false;
     for (const Event &event : heap_) {
         if (event.when < now_ || event.seq == 0 || event.seq >= next_seq_)
             throw std::runtime_error(
                 "EventQueue: corrupt checkpointed event");
     }
-    // A saved heap is already in heap order, so this moves nothing for
-    // a genuine checkpoint; it only restores the invariant for a
-    // payload whose order was tampered with.
+    // A saved heap is already in heap order; only a lane record saved
+    // after it, or a payload whose order was tampered with, moves.
     if (heap_.size() > 1) {
         for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;)
             siftDown(i);

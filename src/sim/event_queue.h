@@ -18,9 +18,15 @@
  * order, which keeps every simulation deterministic.  There is no
  * cancel: an event, once scheduled, is popped.
  *
- * The pending records form a 4-ary heap in one vector, so schedule and
- * pop allocate nothing once the vector has grown to the simulation's
- * high-water mark.
+ * The pending records form a 4-ary heap in one vector, plus a one-slot
+ * lane beside it for the single event scheduled with a reserved
+ * sequence number (scheduleReserved()).  The engine schedules every
+ * arrival that way, and arrivals come in time order, so a third of the
+ * events never enter the heap.  pop(), peekTime() and empty() take the
+ * earlier of the lane and the heap top on (when, seq), which is the
+ * order one heap holding both would give.  schedule and pop allocate
+ * nothing once the vector has grown to the simulation's high-water
+ * mark.
  */
 
 #ifndef CIDRE_SIM_EVENT_QUEUE_H
@@ -102,18 +108,22 @@ class EventQueue
      * schedule() with a sequence number from reserveSeq(): the event's
      * position among equal-time events is @p seq's allocation point,
      * not the present.  Each reservation can be spent at most once
-     * (enforced only by the caller).
+     * (enforced only by the caller).  The event waits in the reserved
+     * lane, which holds one: scheduling a second reserved event while
+     * the first is still pending throws std::logic_error.
      */
     void scheduleReserved(SimTime when, std::uint64_t seq,
                           std::uint32_t kind, std::uint32_t a = 0,
                           std::uint64_t b = 0);
 
     /** True if no event is pending. */
-    bool empty() const { return heap_.empty(); }
+    bool empty() const { return heap_.empty() && !lane_full_; }
 
     /** Time of the next event, or kTimeInfinity when empty. */
     SimTime peekTime() const
     {
+        if (lanePopsFirst())
+            return lane_.when;
         return heap_.empty() ? kTimeInfinity : heap_.front().when;
     }
 
@@ -147,18 +157,27 @@ class EventQueue
     /** Number of events popped since construction. */
     std::uint64_t executedCount() const { return executed_; }
 
-    /** The pending events, in heap order (not pop order). */
+    /**
+     * The heap's pending events, in heap order (not pop order).  A
+     * reserved event waiting in the lane is not among them; right
+     * after loadState() the lane is empty, so this is every pending
+     * event.
+     */
     const std::vector<Event> &pending() const { return heap_; }
 
     // ---- checkpoint/restore ---------------------------------------------
 
-    /** Serialize the clock, the counters and every pending event. */
+    /**
+     * Serialize the clock, the counters and every pending event: the
+     * lane's record and the heap's, as one vector.
+     */
     void saveState(StateWriter &writer) const;
 
     /**
      * Restore state saved by saveState(), replacing the queue's entire
-     * contents.  Throws std::runtime_error when a pending event lies
-     * before the clock or carries a sequence number that was never
+     * contents.  Every restored record goes into the heap and the lane
+     * starts empty.  Throws std::runtime_error when a pending event
+     * lies before the clock or carries a sequence number that was never
      * handed out.  The restored queue pops the exact remaining sequence
      * of the original.
      */
@@ -172,12 +191,21 @@ class EventQueue
         return x.seq < y.seq;
     }
 
+    /** True when the lane holds the earliest pending event. */
+    bool lanePopsFirst() const
+    {
+        return lane_full_ && (heap_.empty() || earlier(lane_, heap_.front()));
+    }
+
     void push(const Event &event);
     void siftUp(std::size_t index);
     void siftDown(std::size_t index);
 
     /** 4-ary min-heap on (when, seq). */
     std::vector<Event> heap_;
+    /** The reserved lane: one event from scheduleReserved(). */
+    Event lane_;
+    bool lane_full_ = false;
     SimTime now_ = 0;
     SimTime last_event_ = 0; //!< see lastEventTime()
     std::uint64_t next_seq_ = 1;

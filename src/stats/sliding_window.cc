@@ -35,10 +35,12 @@ SlidingWindow::dropFront()
     assert(size_ > 0);
     const Entry &front = ring_[head_];
     sum_ -= front.value;
-    const auto it =
-        std::lower_bound(sorted_.begin(), sorted_.end(), front.value);
-    assert(it != sorted_.end() && *it == front.value);
-    sorted_.erase(it);
+    if (ranked_) {
+        const auto it =
+            std::lower_bound(sorted_.begin(), sorted_.end(), front.value);
+        assert(it != sorted_.end() && *it == front.value);
+        sorted_.erase(it);
+    }
     head_ = (head_ + 1) % ring_.size();
     --size_;
     if (size_ == 0) {
@@ -72,8 +74,10 @@ SlidingWindow::add(sim::SimTime now, double value)
     ring_[(head_ + size_) % ring_.size()] = {now, value};
     ++size_;
     sum_ += value;
-    sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), value),
-                   value);
+    if (ranked_) {
+        sorted_.insert(
+            std::upper_bound(sorted_.begin(), sorted_.end(), value), value);
+    }
     expireUnstamped(now);
     ++change_epoch_; // exactly one stamp per mutation
 }
@@ -92,6 +96,16 @@ SlidingWindow::percentile(double q) const
         throw std::logic_error("SlidingWindow::percentile on empty window");
     if (q < 0.0 || q > 1.0)
         throw std::invalid_argument("SlidingWindow::percentile: bad q");
+    if (!ranked_) {
+        // First read: sort the retained values once (into the storage
+        // growRing() reserved); add() and dropFront() keep them sorted
+        // from here on.
+        sorted_.clear();
+        for (std::size_t i = 0; i < size_; ++i)
+            sorted_.push_back(at(i).value);
+        std::sort(sorted_.begin(), sorted_.end());
+        ranked_ = true;
+    }
     const auto rank = static_cast<std::size_t>(
         q * static_cast<double>(size_ - 1) + 0.5);
     return sorted_[rank];
@@ -159,13 +173,11 @@ SlidingWindow::loadState(sim::StateReader &reader)
         throw std::runtime_error("SlidingWindow: corrupt checkpoint");
     ring_.clear();
     ring_.resize(static_cast<std::size_t>(count));
+    for (Entry &entry : ring_)
+        entry = reader.get<Entry>();
     sorted_.clear();
     sorted_.reserve(ring_.size());
-    for (Entry &entry : ring_) {
-        entry = reader.get<Entry>();
-        sorted_.push_back(entry.value);
-    }
-    std::sort(sorted_.begin(), sorted_.end());
+    ranked_ = false;
     head_ = 0;
     size_ = ring_.size();
 }

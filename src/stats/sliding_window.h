@@ -11,13 +11,15 @@
  * the number of retained samples (newest win); the cap is configurable
  * and the sensitivity bench (Fig. 18) raises it when comparing horizons.
  *
- * Statistics are O(1) per query: entries live in a ring buffer (time
- * order) with a sorted companion array (value order) maintained on every
- * add/expire, so percentile() indexes directly instead of re-collecting
- * and nth_element-ing, and mean() reads a running sum.  Both are *exact*
- * — the companion holds the same multiset a fresh sort would.  A change
- * epoch stamps every mutation (exactly once per add()/dropping expire())
- * so consumers can memoize derived estimates against it.
+ * Entries live in a ring buffer (time order); mean() reads a running
+ * sum.  percentile() indexes a sorted companion array (value order).
+ * The companion is built on the first percentile() call, by sorting the
+ * retained values, and maintained on every add/expire from then on, so
+ * a window that is never ranked (the engine's arrival window) never
+ * pays for one.  Both statistics are *exact*: the companion holds the
+ * same multiset a fresh sort would.  A change epoch stamps every
+ * mutation (exactly once per add()/dropping expire()) so consumers can
+ * memoize derived estimates against it.
  */
 
 #ifndef CIDRE_STATS_SLIDING_WINDOW_H
@@ -59,7 +61,8 @@ class SlidingWindow
 
     /**
      * Value at quantile @p q over the retained samples.
-     * Requires a non-empty window.
+     * Requires a non-empty window.  The first call builds the sorted
+     * companion (O(n log n)); later calls index it.
      */
     double percentile(double q) const;
 
@@ -89,9 +92,10 @@ class SlidingWindow
      * Checkpoint the live samples (time order), running sum and change
      * epoch.  The restored window is observationally identical — same
      * samples, percentiles, sum drift and epoch — though its ring
-     * capacity trajectory may differ (not observable).  loadState()
-     * throws std::runtime_error unless the saved horizon and sample cap
-     * equal this window's.
+     * capacity trajectory may differ (not observable), and its
+     * companion is left unbuilt until the next percentile().
+     * loadState() throws std::runtime_error unless the saved horizon
+     * and sample cap equal this window's.
      */
     void saveState(sim::StateWriter &writer) const;
     void loadState(sim::StateReader &reader);
@@ -108,7 +112,7 @@ class SlidingWindow
         return ring_[(head_ + i) % ring_.size()];
     }
 
-    /** Drop the oldest entry (ring + sorted companion + sum). */
+    /** Drop the oldest entry (ring + sum, and the companion if built). */
     void dropFront();
 
     /** Expire without stamping; @return true if anything was dropped. */
@@ -122,8 +126,14 @@ class SlidingWindow
     std::vector<Entry> ring_; //!< time-ordered, ring_[head_] oldest
     std::size_t head_ = 0;
     std::size_t size_ = 0;
-    std::vector<double> sorted_; //!< ascending companion of the ring
-    double sum_ = 0.0;           //!< running sum (reset when emptied)
+    /**
+     * Ascending companion of the ring, valid only while ranked_.  Built
+     * by the first percentile(), a const call, hence mutable: a window
+     * is read from one thread at a time, like the engine that owns it.
+     */
+    mutable std::vector<double> sorted_;
+    mutable bool ranked_ = false;
+    double sum_ = 0.0; //!< running sum (reset when emptied)
     std::uint64_t change_epoch_ = 0;
 };
 

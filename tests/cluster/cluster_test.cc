@@ -5,7 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <stdexcept>
+#include <vector>
+
 #include "cluster/cluster.h"
+#include "sim/serialize.h"
 
 namespace cidre::cluster {
 namespace {
@@ -211,6 +218,65 @@ TEST(Cluster, CompressionRequiresIdleLive)
     Container &c = cl.container(id);
     c.state = ContainerState::Live;
     EXPECT_THROW(cl.compressContainer(id, 1.0), std::invalid_argument);
+}
+
+TEST(Cluster, TracksTheMemoryItsContainersHold)
+{
+    Cluster cl(smallConfig());
+    const ContainerId a = cl.createContainer(
+        0, 0, 600, 1, ProvisionReason::Demand, 0);
+    cl.createContainer(1, 0, 100, 1, ProvisionReason::Demand, 0);
+    cl.worker(0).reserve(50); // memory held outside containers
+    EXPECT_EQ(cl.worker(0).containerMb(), 700);
+    EXPECT_EQ(cl.worker(0).usedMb(), 750);
+    EXPECT_EQ(cl.worker(1).containerMb(), 0);
+
+    cl.container(a).state = ContainerState::Live;
+    cl.compressContainer(a, 3.0);
+    EXPECT_EQ(cl.worker(0).containerMb(), 300);
+    cl.decompressContainer(a);
+    EXPECT_EQ(cl.worker(0).containerMb(), 700);
+    cl.destroyContainer(a);
+    EXPECT_EQ(cl.worker(0).containerMb(), 100);
+    EXPECT_EQ(cl.worker(0).usedMb(), 150);
+}
+
+TEST(Cluster, LoadRebuildsContainerMemoryAndRejectsAnOverdrawnWorker)
+{
+    Cluster cl(smallConfig());
+    const ContainerId a = cl.createContainer(
+        0, 0, 600, 1, ProvisionReason::Demand, 0);
+    cl.createContainer(1, 0, 100, 1, ProvisionReason::Demand, 0);
+    cl.createContainer(2, 1, 300, 1, ProvisionReason::Demand, 0);
+    cl.container(a).state = ContainerState::Live;
+    cl.compressContainer(a, 3.0);
+    cl.worker(1).reserve(50);
+    sim::StateWriter writer;
+    cl.saveState(writer);
+    const std::vector<std::byte> good = writer.release();
+
+    const auto load = [](const std::vector<std::byte> &bytes) {
+        Cluster restored(smallConfig());
+        sim::StateReader reader(bytes);
+        restored.loadState(reader);
+        return restored;
+    };
+    const Cluster restored = load(good);
+    for (WorkerId w = 0; w < cl.workerCount(); ++w) {
+        EXPECT_EQ(restored.worker(w).containerMb(),
+                  cl.worker(w).containerMb()) << "worker " << w;
+        EXPECT_EQ(restored.worker(w).usedMb(), cl.worker(w).usedMb());
+    }
+    EXPECT_EQ(restored.worker(0).containerMb(), 300);
+    EXPECT_EQ(restored.worker(1).containerMb(), 300);
+
+    // Payload layout: worker count, then per worker its capacity (i64),
+    // used MB (i64) and container count (u32).  Worker 0's containers
+    // hold 300 MB; claim it uses 299.
+    std::vector<std::byte> overdrawn = good;
+    const std::int64_t used = 299;
+    std::memcpy(overdrawn.data() + 16, &used, sizeof used);
+    EXPECT_THROW(load(overdrawn), std::runtime_error);
 }
 
 TEST(Container, StateHelpers)

@@ -105,6 +105,37 @@ TEST(RainbowCake, ShedsLayersUnderPressure)
     EXPECT_EQ(m.total(), 3u); // completes without deadlock
 }
 
+TEST(RainbowCake, ReclaimShedsLayersOnAWorkerWithNoIdleContainer)
+{
+    // a's container expires and demotes its layers.  When b arrives the
+    // worker holds no container at all, only layer memory, and b fits
+    // only if some of it is shed: the engine must still ask the policy
+    // for a plan rather than defer b as unreclaimable.
+    trace::Trace t;
+    const auto a = addFunction(t, 600, msec(500));
+    const auto b = addFunction(t, 800, msec(500));
+    t.addRequest(a, 0, msec(10));
+    t.addRequest(b, sec(400), msec(10)); // a's container expired at ~301 s
+    t.seal();
+
+    Engine engine(t, smallConfig(1000),
+                  makeRainbowCake(RainbowCakeConfig{}, 1));
+    engine.begin();
+    engine.stepUntil(sec(399));
+    const cluster::Worker &host = engine.clusterRef().worker(0);
+    ASSERT_TRUE(engine.idleContainersOn(0).empty());
+    ASSERT_EQ(host.containerMb(), 0);
+    const std::int64_t layers = host.usedMb();
+    ASSERT_GT(layers, 1000 - 800);
+
+    engine.stepUntil(sec(400));
+    EXPECT_LT(host.usedMb() - host.containerMb(), layers);
+    EXPECT_EQ(host.containerMb(), 800); // b's cold start is under way
+    const RunMetrics m = engine.finish();
+    EXPECT_EQ(m.total(), 2u);
+    EXPECT_EQ(m.deferred_provisions, 0u);
+}
+
 // -------------------------------------------------------------- IceBreaker
 
 TEST(IceBreaker, PredictsPeriodicFunctions)

@@ -91,6 +91,39 @@ TEST(EventQueueState, RestoredQueueKeepsSchedulingDeterministically)
     EXPECT_EQ(drainLogged(restored), drainLogged(queue));
 }
 
+TEST(EventQueueState, PendingReservedEventSurvivesSaveAndLoad)
+{
+    // The reserved event is saved with the heap's records; the restored
+    // queue holds all of them in its heap and pops the same sequence.
+    EventQueue queue;
+    queue.schedule(100, 1, 0, 1);
+    const std::uint64_t seq = queue.reserveSeq();
+    queue.schedule(300, 1, 0, 3);
+    queue.schedule(200, 1, 0, 2);
+    queue.scheduleReserved(300, seq, 1, 0, 30);
+    ASSERT_EQ(queue.pop().b, 1u);
+
+    const std::vector<std::byte> bytes = saved(queue);
+    EventQueue restored;
+    StateReader reader(bytes);
+    restored.loadState(reader);
+    EXPECT_EQ(restored.pending().size(), 3u);
+    EXPECT_EQ(restored.peekTime(), queue.peekTime());
+
+    // A later event at the tied time queues behind both in each.
+    queue.schedule(300, 1, 0, 4);
+    restored.schedule(300, 1, 0, 4);
+    const Fired original_log = drainLogged(queue);
+    EXPECT_EQ(drainLogged(restored), original_log);
+    EXPECT_EQ(original_log,
+              (Fired{{1, 2, 200}, {1, 30, 300}, {1, 3, 300}, {1, 4, 300}}));
+    EXPECT_EQ(restored.executedCount(), queue.executedCount());
+
+    // The restored lane starts empty, so it takes a new reservation.
+    restored.scheduleReserved(400, restored.reserveSeq(), 1, 0, 5);
+    EXPECT_EQ(restored.pop().b, 5u);
+}
+
 TEST(EventQueueState, CorruptPendingEventRefusesToLoad)
 {
     // Payload layout: now, last event, next seq, executed, then the

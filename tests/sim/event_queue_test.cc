@@ -205,5 +205,48 @@ TEST(EventQueue, ReservedSequenceKeepsItsPlaceInLine)
                  std::logic_error);
 }
 
+TEST(EventQueue, ReservedLaneTakesItsPlaceOnWhenThenSeq)
+{
+    // The reserved event waits beside the heap, yet pops after the
+    // equal-time event scheduled before its reservation and ahead of the
+    // one scheduled after it.
+    EventQueue queue;
+    queue.schedule(msec(5), kLabel, 0, 1);
+    const std::uint64_t seq = queue.reserveSeq();
+    queue.schedule(msec(5), kLabel, 0, 3);
+    queue.schedule(msec(4), kLabel, 0, 0);
+    queue.scheduleReserved(msec(5), seq, kLabel, 0, 2);
+    EXPECT_EQ(queue.peekTime(), msec(4));
+    EXPECT_EQ(drain(queue), (std::vector<std::uint64_t>{0, 1, 2, 3}));
+
+    // Alone, the lane is the whole queue.
+    queue.scheduleReserved(msec(7), queue.reserveSeq(), kLabel, 0, 9);
+    EXPECT_FALSE(queue.empty());
+    EXPECT_EQ(queue.peekTime(), msec(7));
+    EXPECT_TRUE(queue.pending().empty());
+    EXPECT_EQ(queue.pop().b, 9u);
+    EXPECT_TRUE(queue.empty());
+    EXPECT_EQ(queue.peekTime(), kTimeInfinity);
+    EXPECT_EQ(queue.executedCount(), 5u);
+}
+
+TEST(EventQueue, SecondOutstandingReservationThrows)
+{
+    EventQueue queue;
+    const std::uint64_t first = queue.reserveSeq();
+    const std::uint64_t second = queue.reserveSeq();
+    queue.scheduleReserved(msec(1), first, kLabel, 0, 1);
+    EXPECT_THROW(queue.scheduleReserved(msec(2), second, kLabel, 0, 2),
+                 std::logic_error);
+
+    // Once the first has popped, the lane takes the next one, but not
+    // one in the past.
+    EXPECT_EQ(queue.pop().b, 1u);
+    EXPECT_THROW(queue.scheduleReserved(0, second, kLabel, 0, 2),
+                 std::logic_error);
+    queue.scheduleReserved(msec(2), second, kLabel, 0, 2);
+    EXPECT_EQ(drain(queue), (std::vector<std::uint64_t>{2}));
+}
+
 } // namespace
 } // namespace cidre::sim

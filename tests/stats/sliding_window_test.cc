@@ -138,5 +138,89 @@ TEST(SlidingWindow, LoadRejectsAForeignShapeBeforeAllocating)
     EXPECT_THROW(loads(huge), std::runtime_error);
 }
 
+/** The percentiles the ranking tests compare. */
+constexpr double kQuantiles[] = {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0};
+
+/** Expect @p b to answer every query exactly as @p a does. */
+void
+expectSameStatistics(const SlidingWindow &a, const SlidingWindow &b)
+{
+    ASSERT_EQ(b.count(), a.count());
+    ASSERT_FALSE(a.empty());
+    for (const double q : kQuantiles)
+        EXPECT_EQ(b.percentile(q), a.percentile(q)) << "q " << q;
+    // Bit-equal, not merely close: both sums saw the same operations.
+    const double ma = a.mean();
+    const double mb = b.mean();
+    EXPECT_EQ(std::memcmp(&ma, &mb, sizeof ma), 0) << ma << " vs " << mb;
+    EXPECT_EQ(b.changeEpoch(), a.changeEpoch());
+}
+
+TEST(SlidingWindow, FirstRankAfterManyMutationsMatchesRankingThroughout)
+{
+    // Two windows see the same adds, horizon drops, cap drops and
+    // expires.  One is ranked after every mutation (its companion is
+    // maintained all along); the other is ranked only at the end (its
+    // companion is built then, by sorting).  Values repeat, so ties
+    // are exercised too.
+    SlidingWindow eager(sec(30), 64);
+    SlidingWindow lazy(sec(30), 64);
+    std::uint64_t state = 7;
+    const auto next = [&state] {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return state >> 33;
+    };
+    sim::SimTime now = 0;
+    const auto mutate = [&](int steps) {
+        for (int i = 0; i < steps; ++i) {
+            now += sim::msec(static_cast<std::int64_t>(next() % 900));
+            if (next() % 10 == 0) {
+                eager.expire(now);
+                lazy.expire(now);
+            } else {
+                const double value =
+                    static_cast<double>(next() % 50) * 0.125 + 1e-3;
+                eager.add(now, value);
+                lazy.add(now, value);
+            }
+            if (!eager.empty())
+                (void)eager.percentile(0.5);
+        }
+    };
+
+    mutate(2000);
+    ASSERT_FALSE(eager.empty());
+    expectSameStatistics(eager, lazy);
+
+    // From its first read on, the lazy window maintains its companion.
+    mutate(2000);
+    ASSERT_FALSE(eager.empty());
+    expectSameStatistics(eager, lazy);
+}
+
+TEST(SlidingWindow, RestoredWindowRanksLikeTheOriginal)
+{
+    // loadState restores the ring alone; the companion is built on the
+    // restored window's first read and kept from then on.
+    SlidingWindow original(sec(30), 64);
+    for (int i = 0; i < 300; ++i)
+        original.add(sec(i), static_cast<double>((i * 37) % 23));
+    (void)original.median(); // ranked before the save
+
+    sim::StateWriter writer;
+    original.saveState(writer);
+    const std::vector<std::byte> bytes = writer.release();
+    SlidingWindow restored(sec(30), 64);
+    sim::StateReader reader(bytes);
+    restored.loadState(reader);
+    expectSameStatistics(original, restored);
+
+    for (int i = 300; i < 400; ++i) {
+        original.add(sec(i), static_cast<double>((i * 11) % 17));
+        restored.add(sec(i), static_cast<double>((i * 11) % 17));
+    }
+    expectSameStatistics(original, restored);
+}
+
 } // namespace
 } // namespace cidre::stats
