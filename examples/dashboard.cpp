@@ -7,9 +7,12 @@
  * Usage: dashboard [policy-a] [policy-b] [scale]
  */
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "core/engine.h"
 #include "policies/registry.h"
@@ -23,27 +26,51 @@ using namespace cidre;
 
 void
 show(const std::string &policy, const trace::Trace &workload,
-     const core::EngineConfig &base_config)
+     const core::EngineConfig &config)
 {
-    core::EngineConfig config = base_config;
-    config.record_timeline = true;
     core::Engine engine(workload, config,
                         policies::makePolicy(policy, config));
-    const core::RunMetrics m = engine.run();
 
-    const auto line = [](const char *label, const stats::TimeSeries &ts,
+    // Step the engine 10 simulated seconds at a time and read its
+    // counters at every mark: memory is the occupancy at the mark, the
+    // other rows count what happened since the previous one.
+    std::vector<double> memory_mb, cold, delayed, provisions;
+    std::uint64_t last_cold = 0, last_delayed = 0, last_created = 0;
+    engine.begin();
+    for (sim::SimTime mark = sim::sec(10); !engine.drained();
+         mark += sim::sec(10)) {
+        engine.stepUntil(mark);
+        const core::RunMetrics &now = engine.metrics();
+        const std::uint64_t cold_now = now.count(core::StartType::Cold);
+        const std::uint64_t delayed_now =
+            now.count(core::StartType::DelayedWarm);
+        memory_mb.push_back(
+            static_cast<double>(engine.clusterRef().totalUsedMb()));
+        cold.push_back(static_cast<double>(cold_now - last_cold));
+        delayed.push_back(static_cast<double>(delayed_now - last_delayed));
+        provisions.push_back(
+            static_cast<double>(now.containers_created - last_created));
+        last_cold = cold_now;
+        last_delayed = delayed_now;
+        last_created = now.containers_created;
+    }
+    const core::RunMetrics m = engine.finish();
+
+    const auto line = [](const char *label, const std::vector<double> &row,
                          const std::string &unit) {
-        std::cout << "  " << label << " " << ts.sparkline(64) << "  peak "
-                  << stats::formatFixed(ts.max(), 0) << unit << "\n";
+        const double peak = *std::max_element(row.begin(), row.end());
+        std::cout << "  " << label << " " << stats::sparkline(row, 64)
+                  << "  peak " << stats::formatFixed(peak, 0) << unit
+                  << "\n";
     };
     std::cout << policy << "  (overhead "
               << stats::formatFixed(m.avgOverheadRatioPct(), 1)
               << "%, cold "
               << stats::formatFixed(m.coldRatio() * 100.0, 1) << "%)\n";
-    line("memory MB   ", m.timeline.memory_mb, " MB");
-    line("cold starts ", m.timeline.cold_starts, "/10s");
-    line("delayed warm", m.timeline.delayed_warms, "/10s");
-    line("provisions  ", m.timeline.provisions, "/10s");
+    line("memory MB   ", memory_mb, " MB");
+    line("cold starts ", cold, "/10s");
+    line("delayed warm", delayed, "/10s");
+    line("provisions  ", provisions, "/10s");
     std::cout << '\n';
 }
 

@@ -321,13 +321,16 @@ runSweep(const Options &options, const std::vector<std::string> &policies,
 
 // ---- stepped replay (out-of-core streaming + checkpoint/restore) --------
 
+/** Width of one `run --timeline` bucket, in simulated time. */
+constexpr sim::SimTime kTimelineBucket = sim::sec(10);
+
 /**
  * The `run` knobs that give the stepped driver boundaries to stop at:
- * windowed streaming replay, periodic checkpoints, resume and early
- * stop.  All of them are results-neutral — the stepped loop's step
- * boundaries never change metrics (pinned by the golden tests), so a
- * resumed run is bit-identical to an uninterrupted one.  With none set
- * the driver runs the trial in one step.
+ * windowed streaming replay, periodic checkpoints, resume, early stop
+ * and the `--timeline` marks.  All of them are results-neutral — the
+ * stepped loop's step boundaries never change metrics (pinned by the
+ * golden tests), so a resumed run is bit-identical to an uninterrupted
+ * one.  With none set the driver runs the trial in one step.
  */
 struct SteppedKnobs
 {
@@ -336,6 +339,7 @@ struct SteppedKnobs
     sim::SimTime checkpoint_every = 0;
     std::string resume_path;         //!< empty = fresh run
     sim::SimTime stop_at = 0;        //!< 0 = run to completion
+    bool timeline = false;           //!< sample every kTimelineBucket
 
     bool enabled() const
     {
@@ -362,6 +366,7 @@ steppedKnobs(const Options &options)
     knobs.stop_at = sim::sec(stop_sec);
     knobs.checkpoint_path = options.getString("checkpoint");
     knobs.resume_path = options.getString("resume-from");
+    knobs.timeline = options.getFlag("timeline");
     if (knobs.checkpoint_path.empty() &&
         (knobs.checkpoint_every > 0 || knobs.stop_at > 0)) {
         throw std::invalid_argument(
@@ -377,21 +382,53 @@ steppedKnobs(const Options &options)
     return knobs;
 }
 
+/** The `run --timeline` rows: one value per kTimelineBucket mark. */
+struct TimelineRows
+{
+    std::vector<double> memory_mb;     //!< occupancy at the mark
+    std::vector<double> cold_starts;   //!< since the previous mark
+    std::vector<double> delayed_warms; //!< since the previous mark
+};
+
 struct SteppedOutcome
 {
     /** True when --stop-at-sec ended the run before the trace drained. */
     bool stopped_early = false;
     sim::SimTime stop_time = 0;
     core::RunMetrics metrics;
+    TimelineRows timeline; //!< empty unless SteppedKnobs::timeline
 };
+
+/** What a `--timeline` mark reads, summed over every cell. */
+struct TimelineTotals
+{
+    std::uint64_t cold_starts = 0;   //!< cumulative
+    std::uint64_t delayed_warms = 0; //!< cumulative
+    std::int64_t used_mb = 0;        //!< occupancy now
+};
+
+TimelineTotals
+timelineTotals(core::ShardedEngine &engine)
+{
+    TimelineTotals totals;
+    engine.forEachCell([&totals](core::Engine &cell, std::uint32_t) {
+        const core::RunMetrics &metrics = cell.metrics();
+        totals.cold_starts += metrics.count(core::StartType::Cold);
+        totals.delayed_warms += metrics.count(core::StartType::DelayedWarm);
+        totals.used_mb += cell.clusterRef().totalUsedMb();
+    });
+    return totals;
+}
 
 /**
  * Run one trial through the stepped driver, cells on a `--shards` pool
  * pinned per `--pin`.  The loop steps the engine to the next enabled
- * boundary — window advice, periodic checkpoint, or --stop-at-sec — in
- * simulated-time order; boundaries are absolute multiples of their
- * cadence, so a resumed run visits exactly the boundaries the
- * uninterrupted run would have.
+ * boundary — window advice, periodic checkpoint, timeline mark, or
+ * --stop-at-sec — in simulated-time order; boundaries are absolute
+ * multiples of their cadence, so a resumed run visits exactly the
+ * boundaries the uninterrupted run would have.  Timeline counts are
+ * deltas from the state begin()/loadState() left, so a resumed run's
+ * rows start at the resume point.
  */
 SteppedOutcome
 driveSteppedTrial(const SteppedKnobs &knobs, const std::string &policy,
@@ -463,9 +500,16 @@ driveSteppedTrial(const SteppedKnobs &knobs, const std::string &policy,
     sim::SimTime next_ckpt = knobs.checkpoint_every > 0
         ? nextBoundary(start_time, knobs.checkpoint_every)
         : sim::kTimeInfinity;
+    sim::SimTime next_mark = sim::kTimeInfinity;
+    TimelineTotals last_mark;
+    if (knobs.timeline) {
+        next_mark = nextBoundary(start_time, kTimelineBucket);
+        last_mark = timelineTotals(engine);
+    }
 
+    SteppedOutcome outcome;
     for (;;) {
-        sim::SimTime target = std::min(next_window, next_ckpt);
+        sim::SimTime target = std::min({next_window, next_ckpt, next_mark});
         if (knobs.stop_at > 0)
             target = std::min(target, knobs.stop_at);
         if (target == sim::kTimeInfinity)
@@ -475,13 +519,23 @@ driveSteppedTrial(const SteppedKnobs &knobs, const std::string &policy,
             window->advanceTo(target);
             next_window += knobs.stream_window;
         }
+        if (target >= next_mark) {
+            const TimelineTotals mark = timelineTotals(engine);
+            TimelineRows &rows = outcome.timeline;
+            rows.memory_mb.push_back(static_cast<double>(mark.used_mb));
+            rows.cold_starts.push_back(static_cast<double>(
+                mark.cold_starts - last_mark.cold_starts));
+            rows.delayed_warms.push_back(static_cast<double>(
+                mark.delayed_warms - last_mark.delayed_warms));
+            last_mark = mark;
+            next_mark += kTimelineBucket;
+        }
         if (target >= next_ckpt) {
             writeCkpt(target);
             next_ckpt += knobs.checkpoint_every;
         }
         if (knobs.stop_at > 0 && target >= knobs.stop_at) {
             writeCkpt(target);
-            SteppedOutcome outcome;
             outcome.stopped_early = true;
             outcome.stop_time = target;
             return outcome;
@@ -489,7 +543,6 @@ driveSteppedTrial(const SteppedKnobs &knobs, const std::string &policy,
         if (engine.drained())
             break;
     }
-    SteppedOutcome outcome;
     outcome.metrics = engine.finish(pool_ptr);
     return outcome;
 }
@@ -778,7 +831,8 @@ simulateSpecs()
             {"json", "file", "also dump metrics as JSON", ""},
             {"top-functions", "n", "list the n functions paying the most"
                                    " overhead", "0"},
-            {"timeline", "", "print memory/cold-start sparklines", ""},
+            {"timeline", "", "print memory, cold-start and delayed-warm"
+                            " sparklines in 10 s buckets", ""},
             {"slo-ms", "n", "count waits above this as SLO violations",
              "0"},
             {"stream-window-sec", "n", "windowed streaming replay of a"
@@ -821,7 +875,6 @@ runSimulate(const Options &options, std::ostream &out, std::ostream &err)
         throw std::invalid_argument("run: --trials must be >= 1");
     core::EngineConfig config = engineConfig(options);
     config.record_per_request = top > 0;
-    config.record_timeline = options.getFlag("timeline");
     config.slo_us = sim::msec(options.getInt("slo-ms", 0));
 
     // Parse the parallelism options up front: one trial uses --shards
@@ -830,6 +883,7 @@ runSimulate(const Options &options, std::ostream &out, std::ostream &err)
     const SteppedKnobs stepped = steppedKnobs(options);
 
     core::RunMetrics metrics;
+    TimelineRows timeline;
     Workload single_workload;
     if (trials == 1) {
         single_workload = loadWorkload(
@@ -853,13 +907,14 @@ runSimulate(const Options &options, std::ostream &out, std::ostream &err)
             return checkMaxRss(options, err);
         }
         metrics = std::move(outcome.metrics);
+        timeline = std::move(outcome.timeline);
     } else {
         if (stepped.enabled()) {
             throw std::invalid_argument(
                 "run: --stream-window-sec/--checkpoint/--resume-from/"
                 "--stop-at-sec need --trials 1 (one engine, one cursor)");
         }
-        if (top > 0 || config.record_timeline) {
+        if (top > 0 || stepped.timeline) {
             throw std::invalid_argument(
                 "run: --top-functions/--timeline need --trials 1 (the"
                 " per-request log and timeline are per-trial views)");
@@ -882,14 +937,15 @@ runSimulate(const Options &options, std::ostream &out, std::ostream &err)
                    2)
             << "%)\n";
     }
-    if (config.record_timeline) {
-        out << "\ntimeline (10 s buckets):\n"
-            << "  memory MB    "
-            << metrics.timeline.memory_mb.sparkline(64) << "\n"
+    if (stepped.timeline) {
+        out << "\ntimeline (" << sim::toSec(kTimelineBucket)
+            << " s buckets):\n"
+            << "  memory MB    " << stats::sparkline(timeline.memory_mb, 64)
+            << "\n"
             << "  cold starts  "
-            << metrics.timeline.cold_starts.sparkline(64) << "\n"
+            << stats::sparkline(timeline.cold_starts, 64) << "\n"
             << "  delayed warm "
-            << metrics.timeline.delayed_warms.sparkline(64) << "\n";
+            << stats::sparkline(timeline.delayed_warms, 64) << "\n";
     }
 
     if (top > 0) {

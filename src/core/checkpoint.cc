@@ -47,7 +47,6 @@ checkpointFingerprint(const EngineConfig &config,
     writer.put(config.seed);
     writer.put(config.shard_cells);
     writer.put<std::uint8_t>(config.record_per_request ? 1 : 0);
-    writer.put<std::uint8_t>(config.record_timeline ? 1 : 0);
     writer.put(config.slo_us);
     writer.put(config.compression_ratio);
     writer.put(config.restore_cost_fraction);

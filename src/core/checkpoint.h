@@ -51,9 +51,10 @@ static_assert(sizeof(CheckpointHeader) == 40,
  * ShardedEngine::saveState, whatever the cell count.  Version 3 stores
  * RunMetrics' distributions as integer-µs stats::LatencyHistogram
  * state.  Version 4 stores each engine's pending events as one vector
- * of sim::Event records.
+ * of sim::Event records.  Version 5 drops the run timeline from
+ * RunMetrics and the change epoch from every sliding window.
  */
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /**
  * Digest of the run configuration a checkpoint belongs to: engine

@@ -111,9 +111,6 @@ struct EngineConfig
     /** Retain a per-request outcome log (needed by the what-if studies). */
     bool record_per_request = false;
 
-    /** Populate RunMetrics::timeline (memory / cold-start dynamics). */
-    bool record_timeline = false;
-
     /**
      * Invocation-overhead SLO: requests waiting longer than this count
      * as violations in RunMetrics::slo_violations.  <= 0 disables.

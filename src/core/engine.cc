@@ -477,12 +477,6 @@ Engine::dispatchRequest(cluster::Container &c, std::uint64_t request_index,
         outcome.wait_us = wait;
         outcome.exec_us = req.exec_us;
     }
-    if (config_.record_timeline) {
-        if (type == StartType::Cold)
-            metrics_.timeline.cold_starts.record(now(), 1.0);
-        else if (type == StartType::DelayedWarm)
-            metrics_.timeline.delayed_warms.record(now(), 1.0);
-    }
     policy_.keep_alive->onUse(*this, c, type);
     policy_.scaling->onDispatch(*this, req, type, wait);
 
@@ -676,8 +670,6 @@ Engine::tryStartProvision(const DeferredProvision &req)
         cluster::Container &c = cluster_.container(cid);
         ++metrics_.containers_created;
         metrics_.provisioned_mb += static_cast<std::uint64_t>(need);
-        if (config_.record_timeline)
-            metrics_.timeline.provisions.record(now(), 1.0);
         states_[req.function].noteProvisioning(true);
 
         sim::SimTime cost = static_cast<sim::SimTime>(
@@ -955,12 +947,7 @@ Engine::removeFromWorkerIdle(cluster::Container &c)
 void
 Engine::noteMemory()
 {
-    const std::int64_t used = cluster_.totalUsedMb();
-    metrics_.noteMemoryUsage(now(), used);
-    if (config_.record_timeline) {
-        metrics_.timeline.memory_mb.record(now(),
-                                           static_cast<double>(used));
-    }
+    metrics_.noteMemoryUsage(now(), cluster_.totalUsedMb());
 }
 
 void
@@ -975,39 +962,21 @@ Engine::reportSpeculativeOutcome(FunctionState &fs, cluster::Container &c,
 sim::SimTime
 Engine::estimateExecTime(trace::FunctionId id) const
 {
-    const FunctionState &fs = states_.at(id);
-    const auto &window = fs.execWindow();
-    FunctionState::EstimateCache &memo = fs.execEstimateCache();
-    if (memo.epoch == window.changeEpoch())
-        return memo.value;
-    sim::SimTime value;
-    if (window.empty()) {
-        value = trace_.function(id).median_exec_us;
-    } else {
-        value = static_cast<sim::SimTime>(
-            config_.te_percentile < 0.0
-                ? window.mean()
-                : window.percentile(config_.te_percentile));
-    }
-    memo.value = value;
-    memo.epoch = window.changeEpoch();
-    return value;
+    const auto &window = states_.at(id).execWindow();
+    if (window.empty())
+        return trace_.function(id).median_exec_us;
+    return static_cast<sim::SimTime>(
+        config_.te_percentile < 0.0
+            ? window.mean()
+            : window.percentile(config_.te_percentile));
 }
 
 sim::SimTime
 Engine::estimateColdTime(trace::FunctionId id) const
 {
-    const FunctionState &fs = states_.at(id);
-    const auto &window = fs.coldWindow();
-    FunctionState::EstimateCache &memo = fs.coldEstimateCache();
-    if (memo.epoch == window.changeEpoch())
-        return memo.value;
-    const sim::SimTime value = window.empty()
-        ? trace_.function(id).cold_start_us
-        : static_cast<sim::SimTime>(window.median());
-    memo.value = value;
-    memo.epoch = window.changeEpoch();
-    return value;
+    const auto &window = states_.at(id).coldWindow();
+    return window.empty() ? trace_.function(id).cold_start_us
+                          : static_cast<sim::SimTime>(window.median());
 }
 
 sim::SimTime
@@ -1150,11 +1119,15 @@ Engine::loadState(sim::StateReader &reader)
         d.reason = static_cast<cluster::ProvisionReason>(reason);
         d.bound_request = reader.get<std::int64_t>();
         // tryStartProvision reads the function's profile and state and
-        // queues the bound request on the new container.
-        if (d.function >= states_.size() ||
-            reason > static_cast<std::uint8_t>(
-                         cluster::ProvisionReason::Prewarm) ||
-            d.bound_request < -1 ||
+        // queues the bound request on the new container.  Only two kinds
+        // are ever deferred: a Demand provision bound to its request and
+        // an unbound Speculative one (prewarm() never defers).
+        const bool valid_kind =
+            d.reason == cluster::ProvisionReason::Demand
+                ? d.bound_request >= 0
+                : d.reason == cluster::ProvisionReason::Speculative &&
+                      d.bound_request == -1;
+        if (d.function >= states_.size() || !valid_kind ||
             d.bound_request >=
                 static_cast<std::int64_t>(trace_.requestCount())) {
             throw std::runtime_error(
@@ -1197,19 +1170,6 @@ void
 Engine::reseed(std::uint64_t seed)
 {
     rng_ = sim::Rng(seed);
-}
-
-void
-Engine::setTePercentile(double percentile)
-{
-    config_.te_percentile = percentile;
-    // Drop every memoized estimate: the memo epoch only tracks window
-    // *content* changes, so a value computed under the old percentile
-    // would otherwise survive until the next window mutation.
-    for (const FunctionState &fs : states_) {
-        fs.execEstimateCache() = FunctionState::EstimateCache{};
-        fs.coldEstimateCache() = FunctionState::EstimateCache{};
-    }
 }
 
 const std::vector<sim::SimTime> &

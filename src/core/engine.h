@@ -246,11 +246,13 @@ class Engine
     void reseed(std::uint64_t seed);
 
     /**
-     * Change the T_e percentile knob mid-run (tune fork knob).  The
-     * memoized window estimates are invalidated so no value computed
-     * under the old percentile survives.
+     * Change the T_e percentile knob mid-run (tune fork knob): the next
+     * estimateExecTime() reads the window at the new percentile.
      */
-    void setTePercentile(double percentile);
+    void setTePercentile(double percentile)
+    {
+        config_.te_percentile = percentile;
+    }
 
   private:
     struct DeferredProvision

@@ -193,8 +193,6 @@ FunctionState::loadState(sim::StateReader &reader)
     exec_window_.loadState(reader);
     cold_window_.loadState(reader);
     arrival_window_.loadState(reader);
-    te_cache_ = EstimateCache{};
-    tp_cache_ = EstimateCache{};
 }
 
 } // namespace cidre::core

@@ -129,22 +129,6 @@ class FunctionState
     const stats::SlidingWindow &coldWindow() const { return cold_window_; }
 
     /**
-     * Memo slot for a window-derived estimate: valid while @c epoch
-     * equals the source window's changeEpoch().  UINT64_MAX (never a
-     * real epoch) marks "not yet computed".
-     */
-    struct EstimateCache
-    {
-        sim::SimTime value = 0;
-        std::uint64_t epoch = UINT64_MAX;
-    };
-
-    /** Memo for Engine::estimateExecTime (T_e). */
-    EstimateCache &execEstimateCache() const { return te_cache_; }
-    /** Memo for Engine::estimateColdTime (T_p). */
-    EstimateCache &coldEstimateCache() const { return tp_cache_; }
-
-    /**
      * Bumped whenever an input of the Eq. 3 priority bonus other than
      * time changes (arrival count, cached-container count): CIP reuses
      * a bonus computed at the same (now, priorityEpoch) pair.
@@ -171,12 +155,7 @@ class FunctionState
      */
     std::uint64_t last_head_evaluated = UINT64_MAX;
 
-    /**
-     * Checkpoint/restore of all mutable state.  The estimate memos are
-     * deliberately dropped (they re-validate against the windows'
-     * change epochs, so the first post-restore query recomputes the
-     * same value).
-     */
+    /** Checkpoint/restore of all mutable state. */
     void saveState(sim::StateWriter &writer) const;
     void loadState(sim::StateReader &reader);
 
@@ -197,9 +176,6 @@ class FunctionState
     stats::SlidingWindow exec_window_;
     stats::SlidingWindow cold_window_;
     stats::SlidingWindow arrival_window_;
-
-    mutable EstimateCache te_cache_;
-    mutable EstimateCache tp_cache_;
 };
 
 } // namespace cidre::core

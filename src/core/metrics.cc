@@ -213,10 +213,6 @@ RunMetrics::saveState(sim::StateWriter &writer) const
     writer.put(makespan_);
     writer.put(finalized_);
     writer.putVector(outcomes);
-    timeline.memory_mb.saveState(writer);
-    timeline.cold_starts.saveState(writer);
-    timeline.delayed_warms.saveState(writer);
-    timeline.provisions.saveState(writer);
 }
 
 void
@@ -246,10 +242,6 @@ RunMetrics::loadState(sim::StateReader &reader)
     makespan_ = reader.get<sim::SimTime>();
     finalized_ = reader.get<bool>();
     outcomes = reader.getVector<RequestOutcome>();
-    timeline.memory_mb.loadState(reader);
-    timeline.cold_starts.loadState(reader);
-    timeline.delayed_warms.loadState(reader);
-    timeline.provisions.loadState(reader);
 }
 
 } // namespace cidre::core

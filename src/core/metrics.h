@@ -13,7 +13,6 @@
 #include "sim/time.h"
 #include "stats/latency_histogram.h"
 #include "stats/summary.h"
-#include "stats/timeseries.h"
 
 namespace cidre::sim {
 class StateReader;
@@ -93,9 +92,7 @@ class RunMetrics
      *    accumulate;
      *  - makespan() becomes the *total* simulated time across runs, so
      *    avgMemoryGb() stays the time-weighted mean over all trials;
-     *  - peak memory is the maximum across runs;
-     *  - the timeline is NOT merged (per-trial dynamics do not overlay
-     *    meaningfully); this run's own timeline is kept.
+     *  - peak memory is the maximum across runs.
      * Both runs must be finalized; throws std::logic_error otherwise.
      */
     void merge(const RunMetrics &other);
@@ -113,8 +110,7 @@ class RunMetrics
      *    cell peaks need not coincide in simulated time;
      *  - per-request outcome logs are NOT concatenated (sub-trace
      *    request indices are meaningless in the merged frame); the
-     *    sharded runtime scatters them back to original indices itself;
-     *  - the timeline is not merged (same policy as merge()).
+     *    sharded runtime scatters them back to original indices itself.
      * Deterministic in the operand order, like merge().
      */
     void mergeConcurrent(const RunMetrics &other);
@@ -179,30 +175,8 @@ class RunMetrics
     std::vector<RequestOutcome> outcomes;
 
     /**
-     * Run timeline (populated when record_timeline is enabled): the
-     * dynamics the aggregates hide — memory spikes, cold-start storms,
-     * channel backlogs.
-     */
-    struct Timeline
-    {
-        /** Occupied memory (MB), sampled on every change. */
-        stats::TimeSeries memory_mb{sim::sec(10),
-                                    stats::BucketCombine::Max};
-        /** Cold starts per bucket. */
-        stats::TimeSeries cold_starts{sim::sec(10),
-                                      stats::BucketCombine::Sum};
-        /** Delayed warm starts per bucket. */
-        stats::TimeSeries delayed_warms{sim::sec(10),
-                                        stats::BucketCombine::Sum};
-        /** Containers provisioned per bucket. */
-        stats::TimeSeries provisions{sim::sec(10),
-                                     stats::BucketCombine::Sum};
-    };
-    Timeline timeline;
-
-    /**
      * Checkpoint/restore of the full accumulator state (counters,
-     * distributions, memory integral, outcome log and timeline).
+     * distributions, memory integral and outcome log).
      */
     void saveState(sim::StateWriter &writer) const;
     void loadState(sim::StateReader &reader);

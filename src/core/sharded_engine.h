@@ -187,8 +187,7 @@ class ShardedEngine
      * Drain the remaining events of every cell (in parallel on
      * @p pool), then merge: metrics fold in canonical cell order via
      * RunMetrics::mergeConcurrent, and per-request outcome logs are
-     * scattered back to original trace request indices.  The merged
-     * timeline is cell 0's (per-cell dynamics do not overlay).
+     * scattered back to original trace request indices.
      */
     RunMetrics finish(sim::ThreadPool *pool = nullptr);
 

@@ -59,14 +59,6 @@ class StateWriter
             putBytes(values.data(), values.size() * sizeof(T));
     }
 
-    /** vector<bool> has no contiguous storage; store one byte each. */
-    void putBoolVector(const std::vector<bool> &values)
-    {
-        put<std::uint64_t>(values.size());
-        for (const bool v : values)
-            put<std::uint8_t>(v ? 1 : 0);
-    }
-
     void putString(const std::string &value)
     {
         put<std::uint64_t>(value.size());
@@ -134,16 +126,6 @@ class StateReader
         if (count > 0)
             getBytes(values.data(),
                      static_cast<std::size_t>(count) * sizeof(T));
-        return values;
-    }
-
-    std::vector<bool> getBoolVector()
-    {
-        const std::uint64_t count = get<std::uint64_t>();
-        checkCount(count, 1);
-        std::vector<bool> values(static_cast<std::size_t>(count));
-        for (std::uint64_t i = 0; i < count; ++i)
-            values[i] = get<std::uint8_t>() != 0;
         return values;
     }
 

@@ -49,18 +49,14 @@ SlidingWindow::dropFront()
     }
 }
 
-bool
-SlidingWindow::expireUnstamped(sim::SimTime now)
+void
+SlidingWindow::expire(sim::SimTime now)
 {
     if (horizon_ == sim::kTimeInfinity)
-        return false;
+        return;
     const sim::SimTime cutoff = now - horizon_;
-    bool dropped = false;
-    while (size_ > 0 && ring_[head_].when < cutoff) {
+    while (size_ > 0 && ring_[head_].when < cutoff)
         dropFront();
-        dropped = true;
-    }
-    return dropped;
 }
 
 void
@@ -78,15 +74,7 @@ SlidingWindow::add(sim::SimTime now, double value)
         sorted_.insert(
             std::upper_bound(sorted_.begin(), sorted_.end(), value), value);
     }
-    expireUnstamped(now);
-    ++change_epoch_; // exactly one stamp per mutation
-}
-
-void
-SlidingWindow::expire(sim::SimTime now)
-{
-    if (expireUnstamped(now))
-        ++change_epoch_;
+    expire(now);
 }
 
 double
@@ -149,7 +137,6 @@ SlidingWindow::saveState(sim::StateWriter &writer) const
     writer.put(horizon_);
     writer.put<std::uint64_t>(max_samples_);
     writer.put(sum_);
-    writer.put(change_epoch_);
     writer.put<std::uint64_t>(size_);
     for (std::size_t i = 0; i < size_; ++i)
         writer.put(at(i));
@@ -167,7 +154,6 @@ SlidingWindow::loadState(sim::StateReader &reader)
             "SlidingWindow: checkpoint does not match the window's "
             "horizon or sample cap");
     sum_ = reader.get<double>();
-    change_epoch_ = reader.get<std::uint64_t>();
     const auto count = reader.get<std::uint64_t>();
     if (count > max_samples_)
         throw std::runtime_error("SlidingWindow: corrupt checkpoint");

@@ -17,16 +17,13 @@
  * retained values, and maintained on every add/expire from then on, so
  * a window that is never ranked (the engine's arrival window) never
  * pays for one.  Both statistics are *exact*: the companion holds the
- * same multiset a fresh sort would.  A change epoch stamps every
- * mutation (exactly once per add()/dropping expire()) so consumers can
- * memoize derived estimates against it.
+ * same multiset a fresh sort would.
  */
 
 #ifndef CIDRE_STATS_SLIDING_WINDOW_H
 #define CIDRE_STATS_SLIDING_WINDOW_H
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "sim/time.h"
@@ -81,17 +78,9 @@ class SlidingWindow
     sim::SimTime horizon() const { return horizon_; }
 
     /**
-     * Mutation counter: bumped exactly once per add() and once per
-     * expire() that actually dropped samples.  Consumers memoize
-     * window-derived values against it (equal epoch ⇒ identical
-     * contents, so any derived statistic is still valid).
-     */
-    std::uint64_t changeEpoch() const { return change_epoch_; }
-
-    /**
-     * Checkpoint the live samples (time order), running sum and change
-     * epoch.  The restored window is observationally identical — same
-     * samples, percentiles, sum drift and epoch — though its ring
+     * Checkpoint the live samples (time order) and running sum.  The
+     * restored window is observationally identical — same samples,
+     * percentiles and sum drift — though its ring
      * capacity trajectory may differ (not observable), and its
      * companion is left unbuilt until the next percentile().
      * loadState() throws std::runtime_error unless the saved horizon
@@ -115,9 +104,6 @@ class SlidingWindow
     /** Drop the oldest entry (ring + sum, and the companion if built). */
     void dropFront();
 
-    /** Expire without stamping; @return true if anything was dropped. */
-    bool expireUnstamped(sim::SimTime now);
-
     /** Grow the ring (and companion reserve) toward max_samples_. */
     void growRing();
 
@@ -134,7 +120,6 @@ class SlidingWindow
     mutable std::vector<double> sorted_;
     mutable bool ranked_ = false;
     double sum_ = 0.0; //!< running sum (reset when emptied)
-    std::uint64_t change_epoch_ = 0;
 };
 
 } // namespace cidre::stats

@@ -1,6 +1,7 @@
 #include "stats/table.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -128,6 +129,31 @@ formatFixed(double value, int precision)
     std::ostringstream out;
     out << std::fixed << std::setprecision(precision) << value;
     return out.str();
+}
+
+std::string
+sparkline(const std::vector<double> &values, std::size_t width)
+{
+    if (values.empty() || width == 0)
+        return "";
+    static const char *kLevels[] = {"▁", "▂", "▃", "▄",
+                                    "▅", "▆", "▇", "█"};
+    const double top = *std::max_element(values.begin(), values.end());
+    const std::size_t cells = std::min(width, values.size());
+    std::string out;
+    for (std::size_t cell = 0; cell < cells; ++cell) {
+        // cells <= values.size(), so every run holds at least one value.
+        const auto first = values.begin() +
+            static_cast<std::ptrdiff_t>(cell * values.size() / cells);
+        const auto last = values.begin() +
+            static_cast<std::ptrdiff_t>((cell + 1) * values.size() / cells);
+        const double value = *std::max_element(first, last);
+        const int level = top <= 0.0 || value <= 0.0
+            ? 0
+            : std::min(7, static_cast<int>(value / top * 7.999));
+        out += kLevels[level];
+    }
+    return out;
 }
 
 } // namespace cidre::stats

@@ -1,6 +1,7 @@
 /**
  * @file
- * Minimal aligned-table and CSV writers for the benchmark harness.
+ * Minimal aligned-table and CSV writers for the benchmark harness, plus
+ * the text sparkline the CLI and examples draw run dynamics with.
  *
  * Every bench binary prints the paper's rows/series through this class so
  * output formatting stays uniform across experiments.
@@ -53,6 +54,15 @@ class Table
 
 /** Format a double with fixed precision (helper for bench binaries). */
 std::string formatFixed(double value, int precision = 2);
+
+/**
+ * Render @p values as a unicode block sparkline of at most @p width
+ * characters, scaled to the largest value (negative values draw as the
+ * lowest block).  More values than @p width are split into contiguous
+ * runs, each drawn as its maximum.  No values or a zero width render
+ * as "".
+ */
+std::string sparkline(const std::vector<double> &values, std::size_t width);
 
 } // namespace cidre::stats
 

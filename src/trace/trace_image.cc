@@ -401,6 +401,8 @@ TraceImageStreamWriter::append(FunctionId function, sim::SimTime arrival_us,
     if (appended_ == header_.request_count)
         throw std::logic_error("TraceImageStreamWriter: more rows than "
                                "declared");
+    if (arrival_us < 0 || exec_us < 0)
+        throw std::invalid_argument("Trace: negative time in request");
     if (arrival_us < last_arrival_)
         throw std::logic_error("TraceImageStreamWriter: arrivals must be "
                                "non-decreasing");

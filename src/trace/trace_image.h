@@ -135,7 +135,11 @@ class TraceImageStreamWriter
     TraceImageStreamWriter(const TraceImageStreamWriter &) = delete;
     TraceImageStreamWriter &operator=(const TraceImageStreamWriter &) = delete;
 
-    /** Append one request row (arrival-sorted; ties keep append order). */
+    /**
+     * Append one request row (arrival-sorted; ties keep append order).
+     * @throws std::invalid_argument on a negative arrival or exec time,
+     *         like Trace::seal().
+     */
     void append(FunctionId function, sim::SimTime arrival_us,
                 sim::SimTime exec_us);
 

@@ -233,6 +233,90 @@ TEST(CidreSim, ResumedRunMatchesUninterruptedRunByteForByte)
     }
 }
 
+/**
+ * Write the two-burst trace: four requests of 512 MB function 0 at
+ * 0-3 ms, cold-started in the first 10 s, and four more at 30 s that
+ * reuse those containers.  @p late_cold adds a second function with two
+ * requests at 30 s, whose cold starts land in the fourth bucket.
+ */
+std::string
+writeTwoBurstTrace(const std::string &name, bool late_cold)
+{
+    const std::string path = ::testing::TempDir() + name;
+    std::ofstream out(path);
+    out << "F,0,a,512,100000,python,20000\n";
+    if (late_cold)
+        out << "F,1,b,512,100000,python,20000\n";
+    for (int burst = 0; burst < 2; ++burst) {
+        for (int i = 0; i < 4; ++i)
+            out << "R,0," << burst * 30000000 + i * 1000 << ",20000\n";
+    }
+    if (late_cold)
+        out << "R,1,30004000,20000\nR,1,30005000,20000\n";
+    return path;
+}
+
+/** The sparkline after @p label in a `run --timeline` report. */
+std::string
+timelineRow(const std::string &out, const std::string &label)
+{
+    const std::size_t at = out.find("  " + label + " ");
+    if (at == std::string::npos)
+        return "<no " + label + " row>";
+    const std::size_t from = out.find_first_not_of(' ', at + label.size() + 2);
+    return out.substr(from, out.find('\n', from) - from);
+}
+
+TEST(CidreSim, TimelineSamplesEveryTenSecondsOfTheWholeCluster)
+{
+    const std::string trace =
+        writeTwoBurstTrace("cidre_sim_timeline.csv", false);
+    const auto run = [](const std::string &path,
+                        std::vector<std::string> extra) {
+        std::vector<std::string> args = {"run", "--trace", path,
+                                         "--policy", "ttl", "--workers", "2",
+                                         "--cache-gb", "8", "--timeline"};
+        args.insert(args.end(), extra.begin(), extra.end());
+        const RunResult r = invoke(args);
+        EXPECT_EQ(r.status, 0) << r.err;
+        return r.out;
+    };
+
+    // Marks at 10, 20, 30 and 40 s.  All four cold starts fall before
+    // the first; memory is read at each mark, so it stays full through
+    // the idle gap between the bursts.
+    const std::string full = run(trace, {});
+    EXPECT_EQ(timelineRow(full, "cold starts"), "█▁▁▁");
+    EXPECT_EQ(timelineRow(full, "memory MB"), "████");
+    EXPECT_EQ(timelineRow(full, "delayed warm"), "▁▁▁▁");
+
+    // A resumed run's rows start at the resume point: marks 30 and 40.
+    const std::string ckpt = ::testing::TempDir() + "cidre_sim_timeline.ckpt";
+    run(trace, {"--checkpoint", ckpt, "--stop-at-sec", "20"});
+    const std::string resumed = run(trace, {"--resume-from", ckpt});
+    EXPECT_EQ(timelineRow(resumed, "cold starts"), "▁▁");
+    EXPECT_EQ(timelineRow(resumed, "memory MB"), "██");
+
+    // Every row sums all cells.  With two cells, function b's two cold
+    // starts at 30 s sit in cell 1: cell 0 alone would draw "█▁▁▁" and
+    // a flat memory row.  Any --shards count prints the same report.
+    const std::string late =
+        writeTwoBurstTrace("cidre_sim_timeline_late.csv", true);
+    const std::string one_cell = run(late, {});
+    EXPECT_EQ(timelineRow(one_cell, "cold starts"), "█▁▁▄");
+    EXPECT_EQ(timelineRow(one_cell, "memory MB"), "▆▆▆█");
+    const std::string cells = run(late, {"--cells", "2", "--shards", "1"});
+    EXPECT_EQ(run(late, {"--cells", "2", "--shards", "2"}), cells);
+    for (const char *label : {"memory MB", "cold starts", "delayed warm"}) {
+        EXPECT_EQ(timelineRow(cells, label), timelineRow(one_cell, label))
+            << label;
+    }
+
+    std::remove(trace.c_str());
+    std::remove(late.c_str());
+    std::remove(ckpt.c_str());
+}
+
 TEST(CidreSim, TrialsOverOneTraceFileAreRejected)
 {
     // Nothing in the engine draws from the per-trial seed, so N trials

@@ -113,9 +113,12 @@ TEST(CheckpointFile, RejectsUnsupportedVersion)
     // Version 1 is the format before the `run` payload dropped its
     // engine-kind byte, version 2 the one before RunMetrics stored
     // integer-µs histograms, version 3 the one before pending events
-    // were stored as plain records: an old file must fail as a version
-    // mismatch, not as a misleading payload error.
-    for (const std::uint32_t bogus : {kCheckpointVersion + 5, 1u, 2u, 3u}) {
+    // were stored as plain records, version 4 the one before the run
+    // timeline and the window change epochs were dropped: an old file
+    // must fail as a version mismatch, not as a misleading payload
+    // error.
+    for (const std::uint32_t bogus :
+         {kCheckpointVersion + 5, 1u, 2u, 3u, 4u}) {
         const std::string path =
             sampleCheckpoint("cidre_ckpt_badversion.ckpt");
         std::vector<char> bytes = readAll(path);
@@ -584,9 +587,28 @@ TEST(CheckpointResume, LoadRejectsACorruptDeferredProvision)
     EXPECT_THROW(corrupt(function_at, trace::FunctionId{2}),
                  std::runtime_error);
     EXPECT_THROW(corrupt(reason_at, std::uint8_t{3}), std::runtime_error);
-    for (const std::int64_t bound : {std::int64_t{-2}, std::int64_t{2}}) {
+    for (const std::int64_t bound :
+         {std::int64_t{-2}, std::int64_t{-1}, std::int64_t{2}}) {
         EXPECT_THROW(corrupt(bound_at, bound), std::runtime_error)
             << "bound request " << bound;
+    }
+
+    // The engine defers only bound Demand and unbound Speculative
+    // provisions; prewarm() never defers.  A bound Speculative record
+    // or any Prewarm record is corrupt, and an unbound Demand record
+    // (above, -1) would strand its request.
+    const auto corruptRecord = [&](cluster::ProvisionReason reason,
+                                   std::int64_t bound) {
+        return restored(view, config,
+                        patchedAt(patchedAt(state, reason_at, reason),
+                                  bound_at, bound));
+    };
+    EXPECT_THROW(corruptRecord(cluster::ProvisionReason::Speculative, 1),
+                 std::runtime_error);
+    for (const std::int64_t bound : {std::int64_t{-1}, std::int64_t{1}}) {
+        EXPECT_THROW(corruptRecord(cluster::ProvisionReason::Prewarm, bound),
+                     std::runtime_error)
+            << "prewarm bound " << bound;
     }
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests of engine features beyond the core dispatch loop: SLO
- * accounting, timelines, placement policies, speculation modes, and
- * heterogeneous workers.
+ * accounting, placement policies, speculation modes, and heterogeneous
+ * workers.
  */
 
 #include <gtest/gtest.h>
@@ -48,44 +48,6 @@ TEST(EngineSlo, DisabledByDefault)
     t.seal();
     Engine engine(t, smallConfig(), simpleBundle());
     EXPECT_EQ(engine.run().slo_violations, 0u);
-}
-
-TEST(EngineTimeline, RecordsDynamics)
-{
-    trace::Trace t;
-    const auto fn = addFunction(t, 512, msec(100));
-    // Two bursts 30 s apart.
-    for (int i = 0; i < 4; ++i)
-        t.addRequest(fn, msec(i), msec(20));
-    for (int i = 0; i < 4; ++i)
-        t.addRequest(fn, sec(30) + msec(i), msec(20));
-    t.seal();
-
-    EngineConfig config = smallConfig();
-    config.record_timeline = true;
-    Engine engine(t, std::move(config), simpleBundle());
-    const RunMetrics m = engine.run();
-
-    // Provisioning activity lands in the first bucket only (the second
-    // burst reuses the four warm containers).
-    EXPECT_DOUBLE_EQ(m.timeline.provisions.at(0), 4.0);
-    EXPECT_DOUBLE_EQ(m.timeline.cold_starts.at(0), 4.0);
-    EXPECT_DOUBLE_EQ(m.timeline.cold_starts.at(3), 0.0);
-    // Memory rises to 4 × 512 MB and stays (no eviction pressure).
-    EXPECT_DOUBLE_EQ(m.timeline.memory_mb.max(), 4.0 * 512.0);
-    EXPECT_FALSE(m.timeline.memory_mb.sparkline().empty());
-}
-
-TEST(EngineTimeline, OffByDefault)
-{
-    trace::Trace t;
-    const auto fn = addFunction(t, 256, msec(100));
-    t.addRequest(fn, 0, msec(50));
-    t.seal();
-    Engine engine(t, smallConfig(), simpleBundle());
-    const RunMetrics m = engine.run();
-    EXPECT_TRUE(m.timeline.provisions.empty());
-    EXPECT_TRUE(m.timeline.memory_mb.empty());
 }
 
 TEST(EnginePlacement, RoundRobinSpreadsContainers)

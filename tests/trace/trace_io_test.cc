@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "trace/generators.h"
 #include "trace/trace_io.h"
@@ -159,6 +164,35 @@ TEST(TraceIo, FileRoundTrip)
     EXPECT_EQ(loaded.requestCount(), original.requestCount());
     EXPECT_THROW(readTraceFile("/nonexistent/nope.csv"),
                  std::runtime_error);
+}
+
+TEST(TraceIo, ConvertRejectsNegativeTimesAndPublishesNothing)
+{
+    // Arrival-sorted rows take the streaming path, which must reject a
+    // negative arrival or exec time with the error readTraceFile gives.
+    const std::string csv =
+        ::testing::TempDir() + "cidre_convert_negative.csv";
+    const std::string ctrb =
+        ::testing::TempDir() + "cidre_convert_negative.ctrb";
+    std::filesystem::remove(ctrb);
+    for (const std::string row : {"R,0,5000,-5", "R,0,-5,5000"}) {
+        {
+            std::ofstream out(csv);
+            out << "F,0,fn0,128,1000,python,500\n"
+                << row << "\nR,0,9000,10\n";
+        }
+        try {
+            convertTraceCsvToImage(csv, ctrb);
+            ADD_FAILURE() << row << " converted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_STREQ(e.what(), "Trace: negative time in request")
+                << row;
+        }
+        EXPECT_FALSE(std::filesystem::exists(ctrb)) << row;
+        EXPECT_FALSE(std::filesystem::exists(ctrb + ".tmp")) << row;
+        EXPECT_THROW(readTraceFile(csv), std::invalid_argument) << row;
+    }
+    std::remove(csv.c_str());
 }
 
 } // namespace
