@@ -481,8 +481,9 @@ driveSteppedTrial(const SteppedKnobs &knobs, const std::string &policy,
         sim::StateWriter writer;
         writer.put<std::uint64_t>(static_cast<std::uint64_t>(now));
         engine.saveState(writer);
-        core::writeCheckpointFile(knobs.checkpoint_path, fingerprint,
-                                  writer.release());
+        core::writeCheckpointFile(
+            knobs.checkpoint_path,
+            core::makeCheckpointBuffer(fingerprint, writer.release()));
         err << "checkpoint @ " << sim::toSec(now) << " s -> "
             << knobs.checkpoint_path << "\n";
     };
@@ -778,9 +779,8 @@ runSynth(const Options &options, std::ostream &out, std::ostream &)
         count *= static_cast<std::uint64_t>(copies);
     const sim::SimTime period = span + sim::sec(gap_sec) + 1;
 
-    const std::vector<trace::FunctionProfile> profiles(
-        first.functions().begin(), first.functions().end());
-    trace::TraceImageStreamWriter writer(out_path, profiles, total, counts);
+    trace::TraceImageStreamWriter writer(out_path, first.functions(), total,
+                                         counts);
 
     // Per copy: k-way merge of the inputs by arrival (ties to the lower
     // input index — a deterministic total order), shifted by the copy's

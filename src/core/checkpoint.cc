@@ -20,6 +20,44 @@ fail(const std::string &path, const std::string &why)
     throw std::runtime_error("Checkpoint: " + path + ": " + why);
 }
 
+/**
+ * The validation ladder of every checkpoint, in a file or in memory:
+ * magic, version, header size, payload size, checksum, fingerprint.
+ * Errors are labelled with @p where (the path, or "<memory>").
+ */
+void
+validate(const CheckpointBuffer &buffer, std::uint64_t expected_fingerprint,
+         const std::string &where)
+{
+    const CheckpointHeader &header = buffer.header;
+    if (std::memcmp(header.magic, kMagic, sizeof kMagic) != 0)
+        fail(where, "not a .ckpt checkpoint (bad magic)");
+    if (header.version != kCheckpointVersion) {
+        fail(where, "unsupported checkpoint version " +
+                        std::to_string(header.version) + " (expected " +
+                        std::to_string(kCheckpointVersion) + ")");
+    }
+    if (header.header_bytes != sizeof(CheckpointHeader))
+        fail(where, "malformed checkpoint (header size mismatch)");
+    const std::uint64_t actual_bytes =
+        sizeof(CheckpointHeader) + buffer.payload.size();
+    if (header.file_bytes > actual_bytes)
+        fail(where, "truncated checkpoint (payload shorter than header "
+                    "claims)");
+    if (header.file_bytes < actual_bytes)
+        fail(where, "malformed checkpoint (payload longer than header "
+                    "claims)");
+    if (trace::traceImageChecksum(buffer.payload.data(),
+                                  buffer.payload.size()) !=
+        header.payload_checksum) {
+        fail(where, "checksum mismatch (corrupt checkpoint)");
+    }
+    if (header.fingerprint != expected_fingerprint) {
+        fail(where, "fingerprint mismatch (checkpoint was written by a "
+                    "different run configuration)");
+    }
+}
+
 } // namespace
 
 std::uint64_t
@@ -57,39 +95,6 @@ checkpointFingerprint(const EngineConfig &config,
     return trace::traceImageChecksum(bytes.data(), bytes.size());
 }
 
-void
-writeCheckpointFile(const std::string &path, std::uint64_t fingerprint,
-                    const std::vector<std::byte> &payload)
-{
-    CheckpointHeader header{};
-    std::memcpy(header.magic, kMagic, sizeof kMagic);
-    header.version = kCheckpointVersion;
-    header.header_bytes = sizeof(CheckpointHeader);
-    header.file_bytes = sizeof(CheckpointHeader) + payload.size();
-    header.payload_checksum =
-        trace::traceImageChecksum(payload.data(), payload.size());
-    header.fingerprint = fingerprint;
-
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            fail(path, "cannot open for writing");
-        out.write(reinterpret_cast<const char *>(&header), sizeof header);
-        out.write(reinterpret_cast<const char *>(payload.data()),
-                  static_cast<std::streamsize>(payload.size()));
-        out.flush();
-        if (!out) {
-            std::remove(tmp.c_str());
-            fail(path, "write failed");
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        fail(path, "rename failed");
-    }
-}
-
 CheckpointBuffer
 makeCheckpointBuffer(std::uint64_t fingerprint,
                      std::vector<std::byte> payload)
@@ -110,37 +115,35 @@ const std::vector<std::byte> &
 openCheckpointBuffer(const CheckpointBuffer &buffer,
                      std::uint64_t expected_fingerprint)
 {
-    // Same validation ladder as the file path: the buffer is typically
-    // long-lived and shared across worker threads, so a stray write
-    // anywhere in it must be caught here rather than surface as silent
-    // divergence downstream.
-    const CheckpointHeader &header = buffer.header;
-    if (std::memcmp(header.magic, kMagic, sizeof kMagic) != 0)
-        fail("<memory>", "not a checkpoint buffer (bad magic)");
-    if (header.version != kCheckpointVersion) {
-        fail("<memory>", "unsupported checkpoint version " +
-                             std::to_string(header.version) +
-                             " (expected " +
-                             std::to_string(kCheckpointVersion) + ")");
-    }
-    if (header.header_bytes != sizeof(CheckpointHeader))
-        fail("<memory>", "malformed checkpoint (header size mismatch)");
-    if (header.file_bytes !=
-        sizeof(CheckpointHeader) + buffer.payload.size()) {
-        fail("<memory>",
-             "malformed checkpoint (payload size does not match header)");
-    }
-    if (trace::traceImageChecksum(buffer.payload.data(),
-                                  buffer.payload.size()) !=
-        header.payload_checksum) {
-        fail("<memory>", "checksum mismatch (corrupt checkpoint)");
-    }
-    if (header.fingerprint != expected_fingerprint) {
-        fail("<memory>",
-             "fingerprint mismatch (checkpoint was written by a "
-             "different run configuration)");
-    }
+    // The buffer is typically long-lived and shared across worker
+    // threads, so a stray write anywhere in it must be caught here
+    // rather than surface as silent divergence downstream.
+    validate(buffer, expected_fingerprint, "<memory>");
     return buffer.payload;
+}
+
+void
+writeCheckpointFile(const std::string &path, const CheckpointBuffer &buffer)
+{
+    const std::string tmp = path + ".tmp";
+    {
+        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+        if (!out)
+            fail(path, "cannot open for writing");
+        out.write(reinterpret_cast<const char *>(&buffer.header),
+                  sizeof buffer.header);
+        out.write(reinterpret_cast<const char *>(buffer.payload.data()),
+                  static_cast<std::streamsize>(buffer.payload.size()));
+        out.flush();
+        if (!out) {
+            std::remove(tmp.c_str());
+            fail(path, "write failed");
+        }
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::remove(tmp.c_str());
+        fail(path, "rename failed");
+    }
 }
 
 std::vector<std::byte>
@@ -150,47 +153,24 @@ readCheckpointFile(const std::string &path,
     std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in)
         fail(path, "cannot open");
-    const std::uint64_t file_bytes =
-        static_cast<std::uint64_t>(in.tellg());
+    const std::streamoff file_bytes = in.tellg();
     in.seekg(0);
 
-    if (file_bytes < sizeof(CheckpointHeader))
+    // The file becomes a buffer: its header, then every later byte as
+    // the payload, for validate() to hold against the header's claims.
+    CheckpointBuffer buffer;
+    if (file_bytes < static_cast<std::streamoff>(sizeof buffer.header) ||
+        !in.read(reinterpret_cast<char *>(&buffer.header),
+                 sizeof buffer.header)) {
         fail(path, "truncated checkpoint (file smaller than header)");
-
-    CheckpointHeader header{};
-    in.read(reinterpret_cast<char *>(&header), sizeof header);
-    if (!in)
-        fail(path, "truncated checkpoint (file smaller than header)");
-    if (std::memcmp(header.magic, kMagic, sizeof kMagic) != 0)
-        fail(path, "not a .ckpt checkpoint (bad magic)");
-    if (header.version != kCheckpointVersion) {
-        fail(path, "unsupported .ckpt version " +
-                       std::to_string(header.version) + " (expected " +
-                       std::to_string(kCheckpointVersion) + ")");
     }
-    if (header.header_bytes != sizeof(CheckpointHeader))
-        fail(path, "malformed checkpoint (header size mismatch)");
-    if (file_bytes < header.file_bytes)
-        fail(path, "truncated checkpoint (file shorter than header claims)");
-    if (file_bytes > header.file_bytes)
-        fail(path, "malformed checkpoint (file longer than header claims)");
-
-    std::vector<std::byte> payload(header.file_bytes -
-                                   sizeof(CheckpointHeader));
-    in.read(reinterpret_cast<char *>(payload.data()),
-            static_cast<std::streamsize>(payload.size()));
-    if (!in)
-        fail(path, "truncated checkpoint (file shorter than header claims)");
-
-    if (trace::traceImageChecksum(payload.data(), payload.size()) !=
-        header.payload_checksum) {
-        fail(path, "checksum mismatch (corrupt checkpoint)");
-    }
-    if (header.fingerprint != expected_fingerprint) {
-        fail(path, "fingerprint mismatch (checkpoint was written by a "
-                   "different run configuration)");
-    }
-    return payload;
+    buffer.payload.resize(static_cast<std::size_t>(file_bytes) -
+                          sizeof buffer.header);
+    if (!in.read(reinterpret_cast<char *>(buffer.payload.data()),
+                 static_cast<std::streamsize>(buffer.payload.size())))
+        fail(path, "read failed");
+    validate(buffer, expected_fingerprint, path);
+    return std::move(buffer.payload);
 }
 
 } // namespace cidre::core

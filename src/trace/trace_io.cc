@@ -3,7 +3,6 @@
 #include <array>
 #include <charconv>
 #include <fstream>
-#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string_view>
@@ -60,25 +59,30 @@ splitFields(std::string_view line, std::array<std::string_view, 8> &fields)
     }
 }
 
-Trace
-parseTrace(std::string_view text)
+/**
+ * The CSV scanner: one getline-driven pass over a trace.  @p on_function
+ * receives each function record's profile, in id order; @p on_request
+ * each request row, in file order.  Errors name the offending line, and
+ * a stream that ends in a read error throws rather than passing for the
+ * end of the file.
+ */
+template <typename FunctionFn, typename RequestFn>
+void
+scanCsvTrace(std::istream &in, FunctionFn &&on_function,
+             RequestFn &&on_request)
 {
-    Trace trace;
     std::array<std::string_view, 8> fields;
+    std::string line;
     std::size_t line_no = 0;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        const auto eol = text.find('\n', pos);
-        auto line = eol == std::string_view::npos
-            ? text.substr(pos)
-            : text.substr(pos, eol - pos);
-        pos = eol == std::string_view::npos ? text.size() : eol + 1;
+    std::int64_t function_count = 0;
+    while (std::getline(in, line)) {
         ++line_no;
-        if (!line.empty() && line.back() == '\r')
-            line.remove_suffix(1);
-        if (line.empty() || line.front() == '#')
+        std::string_view view(line);
+        if (!view.empty() && view.back() == '\r')
+            view.remove_suffix(1);
+        if (view.empty() || view.front() == '#')
             continue;
-        const auto count = splitFields(line, fields);
+        const auto count = splitFields(view, fields);
         if (fields[0] == "F") {
             if (count != 7)
                 fail(line_no, "function record needs 7 fields");
@@ -92,27 +96,37 @@ parseTrace(std::string_view text)
                 fail(line_no, e.what());
             }
             fn.median_exec_us = parseInt(fields[6], line_no);
-            const FunctionId assigned = trace.addFunction(std::move(fn));
-            if (assigned != parseInt(fields[1], line_no))
+            if (parseInt(fields[1], line_no) != function_count)
                 fail(line_no, "function ids must be dense and in order");
+            ++function_count;
+            on_function(std::move(fn));
         } else if (fields[0] == "R") {
             if (count != 4)
                 fail(line_no, "request record needs 4 fields");
             const auto func = parseInt(fields[1], line_no);
-            if (func < 0 ||
-                static_cast<std::size_t>(func) >= trace.functionCount()) {
+            if (func < 0 || func >= function_count)
                 fail(line_no, "request references unknown function");
-            }
-            trace.addRequest(static_cast<FunctionId>(func),
-                             parseInt(fields[2], line_no),
-                             parseInt(fields[3], line_no));
+            const auto arrival_us = parseInt(fields[2], line_no);
+            const auto exec_us = parseInt(fields[3], line_no);
+            on_request(static_cast<FunctionId>(func), arrival_us, exec_us);
         } else {
             fail(line_no,
                  "unknown record kind '" + std::string(fields[0]) + "'");
         }
     }
-    trace.seal();
-    return trace;
+    if (in.bad()) {
+        throw std::runtime_error("trace read error after line " +
+                                 std::to_string(line_no));
+    }
+}
+
+std::ifstream
+openCsv(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        throw std::runtime_error("readTraceFile: cannot open " + path);
+    return in;
 }
 
 } // namespace
@@ -147,105 +161,42 @@ writeTraceFile(TraceView workload, const std::string &path)
 Trace
 readTrace(std::istream &in)
 {
-    // Slurp once, then parse string_views in place: the hot loop never
-    // allocates per field (names aside) or per line.
-    const std::string text(std::istreambuf_iterator<char>(in), {});
-    return parseTrace(text);
+    Trace trace;
+    scanCsvTrace(
+        in, [&trace](FunctionProfile fn) { trace.addFunction(std::move(fn)); },
+        [&trace](FunctionId function, sim::SimTime arrival_us,
+                 sim::SimTime exec_us) {
+            trace.addRequest(function, arrival_us, exec_us);
+        });
+    trace.seal();
+    return trace;
 }
 
 Trace
 readTraceFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw std::runtime_error("readTraceFile: cannot open " + path);
+    std::ifstream in = openCsv(path);
     return readTrace(in);
 }
-
-namespace {
-
-/**
- * One getline-driven pass over a CSV trace.  @p on_function receives
- * each parsed profile (in id order); @p on_request each request row,
- * in file order.  Validation (field counts, dense ids, known
- * functions, line-numbered errors) matches parseTrace exactly.
- */
-template <typename FunctionFn, typename RequestFn>
-void
-scanCsvTrace(const std::string &path, FunctionFn &&on_function,
-             RequestFn &&on_request)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw std::runtime_error("readTraceFile: cannot open " + path);
-
-    std::array<std::string_view, 8> fields;
-    std::string line;
-    std::size_t line_no = 0;
-    std::size_t function_count = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        std::string_view view(line);
-        if (!view.empty() && view.back() == '\r')
-            view.remove_suffix(1);
-        if (view.empty() || view.front() == '#')
-            continue;
-        const auto count = splitFields(view, fields);
-        if (fields[0] == "F") {
-            if (count != 7)
-                fail(line_no, "function record needs 7 fields");
-            FunctionProfile fn;
-            fn.name = std::string(fields[2]);
-            fn.memory_mb = parseInt(fields[3], line_no);
-            fn.cold_start_us = parseInt(fields[4], line_no);
-            try {
-                fn.runtime = runtimeFromName(std::string(fields[5]));
-            } catch (const std::invalid_argument &e) {
-                fail(line_no, e.what());
-            }
-            fn.median_exec_us = parseInt(fields[6], line_no);
-            fn.id = static_cast<FunctionId>(function_count);
-            if (static_cast<std::size_t>(parseInt(fields[1], line_no)) !=
-                function_count) {
-                fail(line_no, "function ids must be dense and in order");
-            }
-            ++function_count;
-            on_function(std::move(fn));
-        } else if (fields[0] == "R") {
-            if (count != 4)
-                fail(line_no, "request record needs 4 fields");
-            const auto func = parseInt(fields[1], line_no);
-            if (func < 0 ||
-                static_cast<std::size_t>(func) >= function_count) {
-                fail(line_no, "request references unknown function");
-            }
-            on_request(static_cast<FunctionId>(func),
-                       parseInt(fields[2], line_no),
-                       parseInt(fields[3], line_no));
-        } else {
-            fail(line_no,
-                 "unknown record kind '" + std::string(fields[0]) + "'");
-        }
-    }
-}
-
-} // namespace
 
 CsvConvertStats
 convertTraceCsvToImage(const std::string &csv_path,
                        const std::string &image_path)
 {
-    // Pass 1: profiles, per-function counts, and whether the rows are
-    // already in seal() order (arrival-sorted, ties in file order).
-    std::vector<FunctionProfile> profiles;
+    // Pass 1: the function table, per-function counts, and whether the
+    // rows are already in seal() order (arrival-sorted, ties in file
+    // order).  The table is a Trace so that Trace::addFunction names an
+    // unnamed function here exactly as it does for readTraceFile.
+    Trace table;
     std::vector<std::uint64_t> counts;
     std::uint64_t request_count = 0;
     sim::SimTime last_arrival = std::numeric_limits<sim::SimTime>::min();
     bool sorted = true;
+    std::ifstream in = openCsv(csv_path);
     scanCsvTrace(
-        csv_path,
+        in,
         [&](FunctionProfile fn) {
-            profiles.push_back(std::move(fn));
+            table.addFunction(std::move(fn));
             counts.push_back(0);
         },
         [&](FunctionId function, sim::SimTime arrival_us, sim::SimTime) {
@@ -256,22 +207,23 @@ convertTraceCsvToImage(const std::string &csv_path,
             last_arrival = arrival_us;
         });
 
-    const CsvConvertStats stats{request_count, profiles.size()};
+    const CsvConvertStats stats{request_count, table.functionCount()};
+    in.clear();
+    in.seekg(0);
     if (!sorted) {
         // seal() must reorder the rows, which requires materializing
         // them; unsorted CSVs are the exception, not the rule.
-        const Trace trace = readTraceFile(csv_path);
-        writeTraceImageFile(trace, image_path);
+        writeTraceImageFile(readTrace(in), image_path);
         return stats;
     }
 
     // Pass 2: stream the rows straight into the image.
-    TraceImageStreamWriter writer(image_path, profiles, request_count,
-                                  counts);
+    TraceImageStreamWriter writer(image_path, table.functions(),
+                                  request_count, counts);
     scanCsvTrace(
-        csv_path, [](FunctionProfile) {},
-        [&](FunctionId function, sim::SimTime arrival_us,
-            sim::SimTime exec_us) {
+        in, [](FunctionProfile) {},
+        [&writer](FunctionId function, sim::SimTime arrival_us,
+                  sim::SimTime exec_us) {
             writer.append(function, arrival_us, exec_us);
         });
     writer.finish();

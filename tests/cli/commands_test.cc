@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "cli/commands.h"
+#include "tests/temp_file.h"
 
 namespace cidre::cli {
 namespace {
@@ -61,8 +62,8 @@ TEST(CidreSim, HelpPerCommand)
 
 TEST(CidreSim, GenerateRunAnalyzeRoundTrip)
 {
-    const std::string path =
-        ::testing::TempDir() + "cidre_sim_test_trace.csv";
+    const test::TempFile csv("sim_test_trace.csv");
+    const std::string &path = csv.path();
     const RunResult gen = invoke({"generate", "--out", path.c_str(),
                                   "--kind", "fc", "--scale", "0.03",
                                   "--seed", "5"});
@@ -80,16 +81,14 @@ TEST(CidreSim, GenerateRunAnalyzeRoundTrip)
         invoke({"analyze", "--trace", path.c_str()});
     ASSERT_EQ(analyze.status, 0) << analyze.err;
     EXPECT_NE(analyze.out.find("cold/exec ratio"), std::string::npos);
-
-    std::remove(path.c_str());
 }
 
 TEST(CidreSim, ConvertedImageRunsIdentically)
 {
-    const std::string csv =
-        ::testing::TempDir() + "cidre_sim_convert.csv";
-    const std::string ctrb =
-        ::testing::TempDir() + "cidre_sim_convert.ctrb";
+    const test::TempFile csv_file("sim_convert.csv");
+    const test::TempFile ctrb_file("sim_convert.ctrb");
+    const std::string &csv = csv_file.path();
+    const std::string &ctrb = ctrb_file.path();
     const RunResult gen = invoke({"generate", "--out", csv.c_str(),
                                   "--kind", "azure", "--scale", "0.03",
                                   "--seed", "9"});
@@ -113,8 +112,8 @@ TEST(CidreSim, ConvertedImageRunsIdentically)
     EXPECT_EQ(from_image.out, from_csv.out);
 
     // And back: ctrb -> csv must parse and simulate identically too.
-    const std::string csv2 =
-        ::testing::TempDir() + "cidre_sim_convert_back.csv";
+    const test::TempFile csv2_file("sim_convert_back.csv");
+    const std::string &csv2 = csv2_file.path();
     const RunResult back = invoke({"convert", ctrb.c_str(), csv2.c_str()});
     ASSERT_EQ(back.status, 0) << back.err;
     EXPECT_NE(back.out.find("ctrb -> csv"), std::string::npos);
@@ -123,16 +122,12 @@ TEST(CidreSim, ConvertedImageRunsIdentically)
                                         "--cache-gb", "20"});
     ASSERT_EQ(from_csv2.status, 0) << from_csv2.err;
     EXPECT_EQ(from_csv2.out, from_csv.out);
-
-    std::remove(csv.c_str());
-    std::remove(csv2.c_str());
-    std::remove(ctrb.c_str());
 }
 
 TEST(CidreSim, GenerateWritesImageWhenAsked)
 {
-    const std::string ctrb =
-        ::testing::TempDir() + "cidre_sim_generated.ctrb";
+    const test::TempFile file("sim_generated.ctrb");
+    const std::string &ctrb = file.path();
     const RunResult gen = invoke({"generate", "--out", ctrb.c_str(),
                                   "--kind", "fc", "--scale", "0.02",
                                   "--seed", "3"});
@@ -140,7 +135,6 @@ TEST(CidreSim, GenerateWritesImageWhenAsked)
     EXPECT_NE(gen.out.find("wrote"), std::string::npos);
     const RunResult analyze = invoke({"analyze", "--trace", ctrb.c_str()});
     EXPECT_EQ(analyze.status, 0) << analyze.err;
-    std::remove(ctrb.c_str());
 }
 
 TEST(CidreSim, ConvertErrorsAreReported)
@@ -152,6 +146,17 @@ TEST(CidreSim, ConvertErrorsAreReported)
     const RunResult missing_file = invoke(
         {"convert", "/nonexistent/in.csv", "/nonexistent/out.ctrb"});
     EXPECT_EQ(missing_file.status, 2);
+
+    // A directory is a read error, not an empty trace: nothing is
+    // published.
+    const test::TempFile dir("sim_convert_dir");
+    const test::TempFile ctrb("sim_convert_dir.ctrb");
+    ASSERT_TRUE(std::filesystem::create_directory(dir.path()));
+    const RunResult from_dir = invoke({"convert", dir.path(), ctrb.path()});
+    EXPECT_EQ(from_dir.status, 2);
+    EXPECT_NE(from_dir.err.find("read error"), std::string::npos)
+        << from_dir.err;
+    EXPECT_FALSE(std::filesystem::exists(ctrb.path()));
 }
 
 TEST(CidreSim, CompareListsEveryPolicy)
@@ -196,11 +201,12 @@ TEST(CidreSim, ResumedRunMatchesUninterruptedRunByteForByte)
         {"--cells", "2", "--shards", "2"},
     };
     for (const std::vector<std::string> &shape : shapes) {
-        const std::string prefix = ::testing::TempDir() +
-            "cidre_sim_resume_cells" + shape[1];
-        const std::string ckpt = prefix + ".ckpt";
-        const std::string full_json = prefix + "_full.json";
-        const std::string resumed_json = prefix + "_resumed.json";
+        const test::TempFile ckpt_file("sim_resume.ckpt");
+        const test::TempFile full_file("sim_resume_full.json");
+        const test::TempFile resumed_file("sim_resume_resumed.json");
+        const std::string &ckpt = ckpt_file.path();
+        const std::string &full_json = full_file.path();
+        const std::string &resumed_json = resumed_file.path();
         const auto runWith = [&shape](std::vector<std::string> extra) {
             std::vector<std::string> args = {
                 "run", "--kind", "azure", "--scale", "0.03", "--seed",
@@ -226,23 +232,19 @@ TEST(CidreSim, ResumedRunMatchesUninterruptedRunByteForByte)
         EXPECT_FALSE(expected.empty());
         EXPECT_EQ(readFile(resumed_json), expected) << "shape " << shape[1];
         EXPECT_EQ(resumed.out, full.out) << "shape " << shape[1];
-
-        std::remove(ckpt.c_str());
-        std::remove(full_json.c_str());
-        std::remove(resumed_json.c_str());
     }
 }
 
 /**
- * Write the two-burst trace: four requests of 512 MB function 0 at
- * 0-3 ms, cold-started in the first 10 s, and four more at 30 s that
- * reuse those containers.  @p late_cold adds a second function with two
- * requests at 30 s, whose cold starts land in the fourth bucket.
+ * Write the two-burst trace to @p path: four requests of 512 MB
+ * function 0 at 0-3 ms, cold-started in the first 10 s, and four more
+ * at 30 s that reuse those containers.  @p late_cold adds a second
+ * function with two requests at 30 s, whose cold starts land in the
+ * fourth bucket.
  */
-std::string
-writeTwoBurstTrace(const std::string &name, bool late_cold)
+void
+writeTwoBurstTrace(const std::string &path, bool late_cold)
 {
-    const std::string path = ::testing::TempDir() + name;
     std::ofstream out(path);
     out << "F,0,a,512,100000,python,20000\n";
     if (late_cold)
@@ -253,7 +255,6 @@ writeTwoBurstTrace(const std::string &name, bool late_cold)
     }
     if (late_cold)
         out << "R,1,30004000,20000\nR,1,30005000,20000\n";
-    return path;
 }
 
 /** The sparkline after @p label in a `run --timeline` report. */
@@ -269,8 +270,9 @@ timelineRow(const std::string &out, const std::string &label)
 
 TEST(CidreSim, TimelineSamplesEveryTenSecondsOfTheWholeCluster)
 {
-    const std::string trace =
-        writeTwoBurstTrace("cidre_sim_timeline.csv", false);
+    const test::TempFile trace_file("sim_timeline.csv");
+    const std::string &trace = trace_file.path();
+    writeTwoBurstTrace(trace, false);
     const auto run = [](const std::string &path,
                         std::vector<std::string> extra) {
         std::vector<std::string> args = {"run", "--trace", path,
@@ -291,7 +293,8 @@ TEST(CidreSim, TimelineSamplesEveryTenSecondsOfTheWholeCluster)
     EXPECT_EQ(timelineRow(full, "delayed warm"), "▁▁▁▁");
 
     // A resumed run's rows start at the resume point: marks 30 and 40.
-    const std::string ckpt = ::testing::TempDir() + "cidre_sim_timeline.ckpt";
+    const test::TempFile ckpt_file("sim_timeline.ckpt");
+    const std::string &ckpt = ckpt_file.path();
     run(trace, {"--checkpoint", ckpt, "--stop-at-sec", "20"});
     const std::string resumed = run(trace, {"--resume-from", ckpt});
     EXPECT_EQ(timelineRow(resumed, "cold starts"), "▁▁");
@@ -300,8 +303,9 @@ TEST(CidreSim, TimelineSamplesEveryTenSecondsOfTheWholeCluster)
     // Every row sums all cells.  With two cells, function b's two cold
     // starts at 30 s sit in cell 1: cell 0 alone would draw "█▁▁▁" and
     // a flat memory row.  Any --shards count prints the same report.
-    const std::string late =
-        writeTwoBurstTrace("cidre_sim_timeline_late.csv", true);
+    const test::TempFile late_file("sim_timeline_late.csv");
+    const std::string &late = late_file.path();
+    writeTwoBurstTrace(late, true);
     const std::string one_cell = run(late, {});
     EXPECT_EQ(timelineRow(one_cell, "cold starts"), "█▁▁▄");
     EXPECT_EQ(timelineRow(one_cell, "memory MB"), "▆▆▆█");
@@ -311,18 +315,14 @@ TEST(CidreSim, TimelineSamplesEveryTenSecondsOfTheWholeCluster)
         EXPECT_EQ(timelineRow(cells, label), timelineRow(one_cell, label))
             << label;
     }
-
-    std::remove(trace.c_str());
-    std::remove(late.c_str());
-    std::remove(ckpt.c_str());
 }
 
 TEST(CidreSim, TrialsOverOneTraceFileAreRejected)
 {
     // Nothing in the engine draws from the per-trial seed, so N trials
     // of one trace file would be N copies of the same simulation.
-    const std::string path =
-        ::testing::TempDir() + "cidre_sim_trials_trace.csv";
+    const test::TempFile csv("sim_trials_trace.csv");
+    const std::string &path = csv.path();
     const RunResult gen = invoke({"generate", "--out", path, "--kind",
                                   "azure", "--scale", "0.02", "--seed",
                                   "4"});
@@ -346,7 +346,6 @@ TEST(CidreSim, TrialsOverOneTraceFileAreRejected)
     // One trial of the same file still runs.
     EXPECT_EQ(invoke({"run", "--trace", path, "--cache-gb", "20"}).status,
               0);
-    std::remove(path.c_str());
 }
 
 TEST(CidreSim, ErrorsAreReported)

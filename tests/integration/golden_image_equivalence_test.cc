@@ -23,6 +23,7 @@
 #include "core/sharded_engine.h"
 #include "policies/registry.h"
 #include "sim/thread_pool.h"
+#include "tests/temp_file.h"
 #include "trace/generators.h"
 #include "trace/trace_image.h"
 #include "trace/trace_view.h"
@@ -111,15 +112,14 @@ class GoldenImageEquivalence : public ::testing::Test
     void SetUp() override
     {
         trace_ = goldenTrace();
-        path_ = ::testing::TempDir() + "cidre_golden_equivalence.ctrb";
-        trace::writeTraceImageFile(trace_, path_);
+        trace::writeTraceImageFile(trace_, file_.path());
         image_ = std::make_unique<trace::TraceImage>(
-            trace::TraceImage::open(path_));
+            trace::TraceImage::open(file_.path()));
         ASSERT_EQ(image_->requestCount(), trace_.requestCount());
     }
 
     trace::Trace trace_;
-    std::string path_;
+    test::TempFile file_{"golden_equivalence.ctrb"};
     std::unique_ptr<trace::TraceImage> image_;
 };
 

@@ -5,14 +5,15 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "tests/temp_file.h"
 #include "trace/generators.h"
+#include "trace/trace_image.h"
 #include "trace/trace_io.h"
 
 namespace cidre::trace {
@@ -154,33 +155,76 @@ TEST(TraceIo, WriteRequiresSealed)
     EXPECT_THROW(writeTrace(t, out), std::logic_error);
 }
 
+void
+writeText(const std::string &path, const std::string &text)
+{
+    std::ofstream out(path);
+    ASSERT_TRUE(out) << path;
+    out << text;
+}
+
 TEST(TraceIo, FileRoundTrip)
 {
     const Trace original = sampleTrace();
-    const std::string path =
-        ::testing::TempDir() + "cidre_trace_io_test.csv";
-    writeTraceFile(original, path);
-    const Trace loaded = readTraceFile(path);
+    const test::TempFile csv("trace_io.csv");
+    writeTraceFile(original, csv.path());
+    const Trace loaded = readTraceFile(csv.path());
     EXPECT_EQ(loaded.requestCount(), original.requestCount());
     EXPECT_THROW(readTraceFile("/nonexistent/nope.csv"),
                  std::runtime_error);
+}
+
+TEST(TraceIo, UnnamedFunctionIsNamedAlikeOnEveryPath)
+{
+    // An empty name field gets Trace::addFunction's default whether the
+    // CSV is read into a Trace or converted to an image, with its rows
+    // in arrival order (streamed) or not (materialized first).
+    const std::string function = "F,0,,128,500000,python,100000\n";
+    const test::TempFile sorted("unnamed_sorted.csv");
+    const test::TempFile unsorted("unnamed_unsorted.csv");
+    writeText(sorted.path(), function + "R,0,10,20\nR,0,30,20\n");
+    writeText(unsorted.path(), function + "R,0,30,20\nR,0,10,20\n");
+    EXPECT_EQ(readTraceFile(sorted.path()).functions()[0].name, "fn0");
+    for (const test::TempFile *csv : {&sorted, &unsorted}) {
+        const test::TempFile ctrb("unnamed.ctrb");
+        convertTraceCsvToImage(csv->path(), ctrb.path());
+        EXPECT_EQ(TraceImage::open(ctrb.path()).view().function(0).name,
+                  "fn0")
+            << csv->path();
+    }
+}
+
+TEST(TraceIo, ReadErrorIsNotEndOfFile)
+{
+    // A directory opens as a stream, then fails on its first read.
+    const test::TempFile dir("trace_dir");
+    ASSERT_TRUE(std::filesystem::create_directory(dir.path()));
+    try {
+        (void)readTraceFile(dir.path());
+        ADD_FAILURE() << "read a directory as an empty trace";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("read error"),
+                  std::string::npos)
+            << e.what();
+    }
+    const test::TempFile ctrb("from_dir.ctrb");
+    EXPECT_THROW(convertTraceCsvToImage(dir.path(), ctrb.path()),
+                 std::runtime_error);
+    EXPECT_FALSE(std::filesystem::exists(ctrb.path()));
+    EXPECT_FALSE(std::filesystem::exists(ctrb.path() + ".tmp"));
 }
 
 TEST(TraceIo, ConvertRejectsNegativeTimesAndPublishesNothing)
 {
     // Arrival-sorted rows take the streaming path, which must reject a
     // negative arrival or exec time with the error readTraceFile gives.
-    const std::string csv =
-        ::testing::TempDir() + "cidre_convert_negative.csv";
-    const std::string ctrb =
-        ::testing::TempDir() + "cidre_convert_negative.ctrb";
-    std::filesystem::remove(ctrb);
+    const test::TempFile csv_file("convert_negative.csv");
+    const test::TempFile ctrb_file("convert_negative.ctrb");
+    const std::string &csv = csv_file.path();
+    const std::string &ctrb = ctrb_file.path();
     for (const std::string row : {"R,0,5000,-5", "R,0,-5,5000"}) {
-        {
-            std::ofstream out(csv);
-            out << "F,0,fn0,128,1000,python,500\n"
-                << row << "\nR,0,9000,10\n";
-        }
+        writeText(csv, "F,0,fn0,128,1000,python,500\n" + row +
+                           "\nR,0,9000,10\n");
         try {
             convertTraceCsvToImage(csv, ctrb);
             ADD_FAILURE() << row << " converted";
@@ -192,7 +236,6 @@ TEST(TraceIo, ConvertRejectsNegativeTimesAndPublishesNothing)
         EXPECT_FALSE(std::filesystem::exists(ctrb + ".tmp")) << row;
         EXPECT_THROW(readTraceFile(csv), std::invalid_argument) << row;
     }
-    std::remove(csv.c_str());
 }
 
 } // namespace
