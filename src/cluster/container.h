@@ -27,7 +27,21 @@
 namespace cidre::cluster {
 
 /**
- * FIFO of trace request indices bound to one container.
+ * A request carried by value from its arrival to its dispatch, in a
+ * function channel, a bound queue or a bound deferred provision; its
+ * function is the holder's.  Checkpointed raw, so it has no padding.
+ */
+struct PendingRequest
+{
+    /** Arrival order: the trace row, or the admission in a live run. */
+    std::uint64_t index = 0;
+    sim::SimTime arrival_us = 0;
+    sim::SimTime exec_us = 0;
+};
+static_assert(sizeof(PendingRequest) == 24, "PendingRequest has no padding");
+
+/**
+ * FIFO of the requests bound to one container.
  *
  * A std::deque here would cost 80 bytes per container plus an eager
  * 512-byte node allocation on construction — paid by every container
@@ -40,8 +54,8 @@ class BoundQueue
   public:
     bool empty() const { return head_ == items_.size(); }
     std::size_t size() const { return items_.size() - head_; }
-    std::uint64_t front() const { return items_[head_]; }
-    void push_back(std::uint64_t v) { items_.push_back(v); }
+    const PendingRequest &front() const { return items_[head_]; }
+    void push_back(const PendingRequest &v) { items_.push_back(v); }
     void pop_front()
     {
         if (++head_ == items_.size()) {
@@ -50,25 +64,28 @@ class BoundQueue
         }
     }
 
+    /** The queued records, front first. */
+    const PendingRequest *begin() const { return items_.data() + head_; }
+    const PendingRequest *end() const { return items_.data() + items_.size(); }
+
     /** Checkpoint/restore (only the live suffix is kept). */
     template <typename Writer> void saveState(Writer &writer) const
     {
         writer.template put<std::uint64_t>(size());
-        for (std::size_t i = head_; i < items_.size(); ++i)
-            writer.put(items_[i]);
+        for (const PendingRequest &pending : *this)
+            writer.put(pending);
     }
     template <typename Reader> void loadState(Reader &reader)
     {
         const auto count = reader.template get<std::uint64_t>();
         head_ = 0;
         items_.clear();
-        items_.reserve(static_cast<std::size_t>(count));
         for (std::uint64_t i = 0; i < count; ++i)
-            items_.push_back(reader.template get<std::uint64_t>());
+            items_.push_back(reader.template get<PendingRequest>());
     }
 
   private:
-    std::vector<std::uint64_t> items_;
+    std::vector<PendingRequest> items_;
     std::size_t head_ = 0;
 };
 
@@ -166,7 +183,7 @@ struct Container
 
     /**
      * Requests bound to this specific container (vanilla fixed-queue
-     * dispatch of §2.4's Fig. 7 what-if); stores trace request indices.
+     * dispatch of §2.4's Fig. 7 what-if).
      */
     BoundQueue bound_queue;
 

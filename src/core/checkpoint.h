@@ -55,9 +55,10 @@ static_assert(sizeof(CheckpointHeader) == 40,
  * RunMetrics' distributions as integer-µs stats::LatencyHistogram
  * state.  Version 4 stores each engine's pending events as one vector
  * of sim::Event records.  Version 5 drops the run timeline from
- * RunMetrics and the change epoch from every sliding window.
+ * RunMetrics and the change epoch from every sliding window.  Version 6
+ * holds each waiting request by value, and a live run's stream state.
  */
-inline constexpr std::uint32_t kCheckpointVersion = 5;
+inline constexpr std::uint32_t kCheckpointVersion = 6;
 
 /**
  * Digest of the run configuration a checkpoint belongs to: engine

@@ -158,7 +158,7 @@ FunctionState::saveState(sim::StateWriter &writer) const
     writer.put(busy_count_);
     writer.put(provisioning_count_);
     writer.put<std::uint64_t>(channel_.size());
-    for (const PendingRequest &pending : channel_)
+    for (const cluster::PendingRequest &pending : channel_)
         writer.put(pending);
     writer.put(total_invocations_);
     writer.put(first_request_at_);
@@ -185,7 +185,7 @@ FunctionState::loadState(sim::StateReader &reader)
     const auto pending_count = reader.get<std::uint64_t>();
     channel_.clear();
     for (std::uint64_t i = 0; i < pending_count; ++i)
-        channel_.push_back(reader.get<PendingRequest>());
+        channel_.push_back(reader.get<cluster::PendingRequest>());
     total_invocations_ = reader.get<std::uint64_t>();
     first_request_at_ = reader.get<sim::SimTime>();
     priority_epoch_ = reader.get<std::uint64_t>();

@@ -27,13 +27,6 @@ class StateWriter;
 
 namespace cidre::core {
 
-/** One entry in a function's pending-request channel. */
-struct PendingRequest
-{
-    std::uint64_t request_index;
-    sim::SimTime enqueued_at;
-};
-
 /** Mutable per-function orchestration state. */
 class FunctionState
 {
@@ -79,8 +72,8 @@ class FunctionState
 
     // --- the request channel -------------------------------------------
 
-    std::deque<PendingRequest> &channel() { return channel_; }
-    const std::deque<PendingRequest> &channel() const { return channel_; }
+    std::deque<cluster::PendingRequest> &channel() { return channel_; }
+    const auto &channel() const { return channel_; }
 
     // --- busy-completion view (oracle scaling) ---------------------------
 
@@ -165,7 +158,7 @@ class FunctionState
     std::vector<cluster::ContainerId> cached_;
     std::uint32_t busy_count_ = 0;
     std::uint32_t provisioning_count_ = 0;
-    std::deque<PendingRequest> channel_;
+    std::deque<cluster::PendingRequest> channel_;
 
     std::uint64_t total_invocations_ = 0;
     sim::SimTime first_request_at_ = -1;

@@ -40,10 +40,12 @@ enum class StartType : std::uint8_t
 
 const char *startTypeName(StartType type);
 
-/** Outcome of one request (retained when record_per_request is set). */
+/** Outcome of one request (retained when record_per_request is set).
+ *  Checkpointed raw, so its padding is an explicit zeroed member. */
 struct RequestOutcome
 {
     StartType type = StartType::Warm;
+    std::uint8_t zero_pad[7] = {};
     sim::SimTime wait_us = 0; //!< invocation overhead
     sim::SimTime exec_us = 0;
 
@@ -56,6 +58,8 @@ struct RequestOutcome
      */
     sim::SimTime counterfactual_queue_us = -1;
 };
+static_assert(sizeof(RequestOutcome) == 32,
+              "RequestOutcome has no implicit padding");
 
 /**
  * Aggregated results of one simulation run.

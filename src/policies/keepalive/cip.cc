@@ -138,8 +138,8 @@ CipKeepAlive::insertIdle(WorkerState &ws, const cluster::Container &container)
     // The entry remembers the scan seq current at insertion: a later
     // larger seq on this (worker, function) cell means a reclaim scan
     // saw the container while idle and re-wrote its priority.
-    const IdleEntry entry{container.clock, container.seq, container.id,
-                          ws.scan_seq[f]};
+    const IdleEntry entry{.clock = container.clock, .seq = container.seq,
+                          .id = container.id, .scan_mark = ws.scan_seq[f]};
     bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), entry),
                   entry);
 }
@@ -152,7 +152,8 @@ CipKeepAlive::removeIdle(WorkerState &ws, const cluster::Container &container,
     if (f >= ws.buckets.size())
         return false;
     std::vector<IdleEntry> &bucket = ws.buckets[f];
-    const IdleEntry key{container.clock, container.seq, container.id, 0};
+    const IdleEntry key{.clock = container.clock, .seq = container.seq,
+                        .id = container.id, .scan_mark = 0};
     const auto it = std::lower_bound(bucket.begin(), bucket.end(), key);
     if (it == bucket.end() || it->seq != container.seq ||
         it->clock != container.clock) {
@@ -195,7 +196,8 @@ CipKeepAlive::rebuild(core::Engine &engine, cluster::WorkerId worker,
         // Mark 0 (never a live scan seq): the scan that follows in
         // planReclaim re-records every bonus, so reconstruction always
         // routes through it — exactly the brute-force full-scan effect.
-        bucket.push_back({c.clock, c.seq, cid, 0});
+        bucket.push_back(
+            {.clock = c.clock, .seq = c.seq, .id = cid, .scan_mark = 0});
     }
     for (const trace::FunctionId f : ws.active)
         std::sort(ws.buckets[f].begin(), ws.buckets[f].end());

@@ -98,12 +98,14 @@ class CipKeepAlive : public RankedKeepAlive
                  cluster::Container &container) override;
 
   private:
-    /** One idle container in its function's clock-ordered bucket. */
+    /** One idle container in its function's clock-ordered bucket.
+     *  Checkpointed raw, so its padding is an explicit zeroed member. */
     struct IdleEntry
     {
         double clock;
         std::uint64_t seq; //!< Container::seq (stable across slot reuse)
         cluster::ContainerId id;
+        std::uint32_t zero_pad = 0;
         /** Scan seq of the (worker, function) cell at insertion time. */
         std::uint64_t scan_mark;
 
@@ -116,6 +118,7 @@ class CipKeepAlive : public RankedKeepAlive
             return seq < o.seq;
         }
     };
+    static_assert(sizeof(IdleEntry) == 32, "IdleEntry has no implicit padding");
 
     /** A bucket head inside the k-way selection heap. */
     struct Head

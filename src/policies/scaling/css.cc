@@ -36,7 +36,7 @@ CssScaling::onNoFreeContainer(core::Engine &engine,
     double t_d = fs.t_d_us;
     if (!fs.channel().empty()) {
         t_d = std::max(t_d, static_cast<double>(
-            engine.now() - fs.channel().front().enqueued_at));
+            engine.now() - fs.channel().front().arrival_us));
     }
     if (t_d > t_p) {
         // Lines 11-16: queuing has become more expensive than a cold

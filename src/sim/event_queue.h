@@ -5,7 +5,7 @@
  *
  * An event is a trivially copyable record: its time, a sequence
  * number, and a kind with two operand words (for the engine, a
- * container id and a request index).  The queue only orders records;
+ * function or container id and an exec time).  The queue only orders records;
  * it never runs anything.  The owner pops the earliest record and
  * dispatches on its kind: core::Engine switches over its four kinds in
  * one place.  Dispatch stays with the engine because only the engine

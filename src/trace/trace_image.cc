@@ -592,13 +592,16 @@ TraceImage::open(const std::string &path, TraceOpenMode mode)
     }
     {
         const std::uint64_t stride = kSweepChunkBytes / 8;
-        for (std::uint64_t i = 1; i < request_count;) {
+        sim::SimTime previous = 0; // nothing arrives before time 0
+        for (std::uint64_t i = 0; i < request_count;) {
             const std::uint64_t end = std::min(request_count, i + stride);
             const std::uint64_t begin = i;
-            for (; i < end; ++i)
-                if (arrival_col[i] < arrival_col[i - 1])
-                    fail(path, "malformed trace image (arrival column not "
-                               "sorted)");
+            for (; i < end; previous = arrival_col[i++])
+                if (arrival_col[i] < previous)
+                    fail(path, i == 0 ? "malformed trace image (negative "
+                                        "arrival time)"
+                                      : "malformed trace image (arrival "
+                                        "column not sorted)");
             if (streaming)
                 releaseRange(map, header.arrivals_col_offset + begin * 8,
                              header.arrivals_col_offset + end * 8, page);

@@ -105,10 +105,6 @@ class TraceView
     {
         return functions_[id];
     }
-    const FunctionProfile &functionOf(const Request &req) const
-    {
-        return functions_[req.function];
-    }
     std::size_t functionCount() const { return functions_.size(); }
 
     std::uint64_t requestCount() const { return request_count_; }
@@ -123,17 +119,6 @@ class TraceView
     }
     sim::SimTime arrivalUs(std::uint64_t i) const { return arrival_col_[i]; }
     sim::SimTime execUs(std::uint64_t i) const { return exec_col_[i]; }
-
-    /** Materialize request @p i by value (id == i in a sealed log). */
-    Request request(std::uint64_t i) const
-    {
-        Request req;
-        req.id = i;
-        req.function = function_col_[i];
-        req.arrival_us = arrival_col_[i];
-        req.exec_us = exec_col_[i];
-        return req;
-    }
 
     /** Sorted arrival timestamps of one function (the seal()-time index). */
     std::span<const sim::SimTime> arrivalsOf(FunctionId id) const

@@ -140,7 +140,7 @@ TEST(Cluster, RecycledSlotIsScrubbed)
     c.state = ContainerState::Live;
     c.use_count = 7;
     c.priority = 3.5;
-    c.bound_queue.push_back(42);
+    c.bound_queue.push_back({42, 0, 0});
     c.bound_queue.pop_front();
     c.active = 0;
     cl.destroyContainer(id);

@@ -8,11 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "policies/keepalive/lru.h"
 #include "policies/scaling/bss.h"
 #include "policies/scaling/vanilla.h"
 #include "tests/core/test_helpers.h"
+#include "trace/trace_io.h"
 
 namespace cidre::core {
 namespace {
@@ -23,6 +27,27 @@ using cidre::test::simpleBundle;
 using cidre::test::smallConfig;
 using sim::msec;
 using sim::sec;
+
+TEST(EngineEdge, CsvExecPastTheHorizonFailsAtIntake)
+{
+    // The CSV scanner checks only the sign, so an exec of INT64_MAX
+    // parses.  The engine's intake must name the request instead of
+    // overflowing arrival + exec.
+    std::istringstream csv("F,0,f,128,50000,python,5000\n"
+                           "R,0,1000,5000\n"
+                           "R,0,2000,9223372036854775807\n");
+    const trace::Trace t = trace::readTrace(csv);
+    Engine engine(t, smallConfig(), simpleBundle());
+    std::string error;
+    try {
+        engine.run();
+    } catch (const std::invalid_argument &e) {
+        error = e.what();
+    }
+    EXPECT_NE(error.find("request 1: arrival + exec exceeds"),
+              std::string::npos)
+        << error;
+}
 
 TEST(EngineEdge, ZeroExecutionRequests)
 {

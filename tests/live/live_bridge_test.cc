@@ -5,8 +5,9 @@
  * trace-driven run — single-cell and sharded, bare admit loop and the
  * full producer/ring/orchestrator stack.  Streams run through
  * core::ShardedEngine, the type every live caller drives; the
- * single-cell reference is the plain core::Engine trace run.  Plus the
- * live-mode guards and the orchestrator's out-of-order clamp.
+ * single-cell reference is the plain core::Engine trace run.  A stream
+ * checkpointed mid-way and resumed in fresh engines must match too.
+ * Plus the live-mode guards and the orchestrator's out-of-order clamp.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/checkpoint.h"
 #include "core/engine.h"
 #include "core/metrics_io.h"
 #include "core/sharded_engine.h"
@@ -26,6 +28,7 @@
 #include "live/orchestrator.h"
 #include "live/producer.h"
 #include "policies/registry.h"
+#include "sim/serialize.h"
 #include "sim/topology.h"
 #include "tests/core/test_helpers.h"
 #include "trace/generators.h"
@@ -108,6 +111,53 @@ TEST(LiveBridge, ShardedAdmitMatchesShardedTraceRun)
     core::ShardedEngine reference(t, config, factoryFor("cidre"));
     EXPECT_EQ(metricsJson(reference.run()),
               metricsJson(liveRun(t, config, "cidre")));
+}
+
+/**
+ * Admit half the trace, checkpoint between two admissions, restore into
+ * fresh engines and admit the rest: the metrics JSON equals the trace
+ * run's.  A request is carried by value until it completes, so a live
+ * engine's state is a trace run's plus its stream flags and reserved
+ * admission sequence, all of which the checkpoint holds.
+ */
+TEST(LiveBridge, CheckpointedStreamResumesBitForBit)
+{
+    const trace::Trace t = bridgeTrace();
+    const trace::TraceView view(t);
+    const std::uint64_t half = view.requestCount() / 2;
+    const auto admitRows = [&view](core::ShardedEngine &engine,
+                                   std::uint64_t begin, std::uint64_t end) {
+        for (std::uint64_t i = begin; i < end; ++i)
+            engine.admit(view.arrivalUs(i), view.requestFunction(i),
+                         view.execUs(i));
+    };
+    for (const std::uint32_t cells : {1u, 2u}) {
+        const core::EngineConfig config = bridgeConfig(cells);
+        core::ShardedEngine reference(view, config, factoryFor("cidre"));
+        const std::string expected = metricsJson(reference.run());
+
+        const std::uint64_t fingerprint =
+            core::checkpointFingerprint(config, "cidre", view);
+        core::CheckpointBuffer buffer;
+        {
+            core::ShardedEngine first(view, config, factoryFor("cidre"));
+            first.beginLive();
+            admitRows(first, 0, half);
+            sim::StateWriter writer;
+            first.saveState(writer);
+            buffer = core::makeCheckpointBuffer(fingerprint,
+                                                writer.release());
+        }
+        core::ShardedEngine resumed(view, config, factoryFor("cidre"));
+        const std::vector<std::byte> payload =
+            core::openCheckpointBuffer(buffer, fingerprint);
+        sim::StateReader reader(payload);
+        resumed.loadState(reader);
+        admitRows(resumed, half, view.requestCount());
+        resumed.closeStream();
+        EXPECT_EQ(expected, metricsJson(resumed.finish(nullptr)))
+            << cells << " cells";
+    }
 }
 
 /** The full stack: pacer thread -> ring -> orchestrator loop. */
@@ -276,6 +326,9 @@ TEST(LiveBridge, LiveModeGuards)
     engine.beginLive();
     EXPECT_THROW(engine.admit(0, fn + 1, 1), std::out_of_range);
     EXPECT_THROW(engine.admit(0, fn, -1), std::invalid_argument);
+    // The intake trace mode applies too: no completion past the horizon.
+    EXPECT_THROW(engine.admit(0, fn, sim::kTimeInfinity),
+                 std::invalid_argument);
     engine.admit(sim::msec(1), fn, sim::msec(1));
     // Admissions must be nondecreasing (the orchestrator clamps).
     EXPECT_THROW(engine.admit(0, fn, 1), std::logic_error);

@@ -5,6 +5,8 @@
  * marks, stepping the simulation — arrivals, dispatches, completions,
  * window updates, estimates, maintenance ticks — performs no heap
  * allocation, and neither does the incremental CIP reclaim ranking.
+ * A live run admits its requests with no allocation either: nothing of
+ * a request outlives its completion.
  *
  * Lives in the test_sim_alloc binary because the counting allocator in
  * alloc_counter.cc is program-wide.
@@ -83,6 +85,38 @@ TEST(EngineAlloc, SteadyStateStepLoopIsAllocationFree)
     EXPECT_GT(events, 10000u); // the phase really replayed traffic
     const RunMetrics m = engine.finish();
     EXPECT_EQ(m.total(), workload.requestCount());
+}
+
+TEST(EngineAlloc, SteadyStateLiveAdmissionIsAllocationFree)
+{
+    const trace::Trace workload = periodicTrace(sec(120));
+    const trace::TraceView view(workload);
+    const EngineConfig config = steadyConfig();
+    Engine engine(workload, config, policies::makePolicy("cidre", config));
+    engine.beginLive();
+
+    // Warm-up as above: the first 30 simulated seconds of admissions.
+    std::uint64_t next = 0;
+    const auto admitUntil = [&](sim::SimTime until) {
+        for (; next < view.requestCount() && view.arrivalUs(next) < until;
+             ++next) {
+            engine.admit(view.arrivalUs(next), view.requestFunction(next),
+                         view.execUs(next));
+        }
+    };
+    admitUntil(sec(30));
+
+    const std::uint64_t before = allocationCount();
+    const std::uint64_t first = next;
+    admitUntil(sec(115));
+    const std::uint64_t after = allocationCount();
+
+    EXPECT_EQ(after - before, 0u)
+        << "steady-state admissions must not allocate";
+    EXPECT_GT(next - first, 10000u); // the phase really admitted traffic
+    admitUntil(sec(120));
+    engine.closeStream();
+    EXPECT_EQ(engine.finish().total(), workload.requestCount());
 }
 
 TEST(EngineAlloc, ReclaimRankingAndEstimatesAllocationFree)

@@ -3,7 +3,8 @@
  * Tests for the out-of-core replay substrate: the pure advice-span
  * planner (outward-aligned prefetch, inward-aligned release that can
  * never touch the header/profile/index-offset pages), the ReplayWindow
- * cursor (releases strictly two windows behind), the streaming `.ctrb`
+ * cursor (releases what has arrived, and released rows stay unmapped
+ * under a backlog), the streaming `.ctrb`
  * writer (an unfinished one publishes nothing), the incremental
  * checksummer, and Streaming-mode open (identical views and identical
  * error text to Resident mode).
@@ -18,7 +19,11 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "core/engine.h"
 #include "policies/registry.h"
@@ -138,6 +143,34 @@ TEST(ReplayAdvicePlanner, ReleaseAlignsInwardAndNeverTouchesNeighbours)
     EXPECT_GT(spans[0].offset, header.functions_col_offset);
 }
 
+TEST(ReplayAdvicePlanner, ConsecutiveReleasesLeaveNoPageBehind)
+{
+    // A cursor releases [0, 10) and then [10, 1000): the page holding
+    // rows on both sides of row 10 goes with the second release, so the
+    // two together drop what one release of [0, 1000) drops.
+    const TraceImageHeader header = plannerHeader();
+    const ReplayAdvicePlanner planner(header, kPage);
+    std::vector<AdviceSpan> whole;
+    planner.planRelease(0, header.request_count, whole);
+    std::vector<AdviceSpan> first;
+    planner.planRelease(0, 10, first);
+    std::vector<AdviceSpan> second;
+    planner.planRelease(10, header.request_count, second);
+    ASSERT_EQ(whole.size(), 3u);
+    ASSERT_EQ(second.size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(second[i].offset + second[i].length,
+                  whole[i].offset + whole[i].length);
+        std::uint64_t from = second[i].offset;
+        for (const AdviceSpan &span : first) {
+            if (span.offset + span.length >= second[i].offset &&
+                span.offset < second[i].offset)
+                from = span.offset;
+        }
+        EXPECT_EQ(from, whole[i].offset) << "column " << i;
+    }
+}
+
 TEST(ReplayAdvicePlanner, PartialPageReleasePlansNothing)
 {
     // Fewer rows than a page on either side: inward alignment collapses
@@ -183,7 +216,7 @@ smallImage()
     return file.path();
 }
 
-TEST(ReplayWindow, CursorPrefetchesAheadAndReleasesTwoWindowsBehind)
+TEST(ReplayWindow, CursorPrefetchesAheadAndReleasesWhatArrived)
 {
     const TraceImage image =
         TraceImage::open(smallImage(), TraceOpenMode::Streaming);
@@ -200,15 +233,16 @@ TEST(ReplayWindow, CursorPrefetchesAheadAndReleasesTwoWindowsBehind)
 
     window.advanceTo(0);
     EXPECT_EQ(window.prefetchedRequests(), arrivalsBefore(w));
-    EXPECT_EQ(window.releasedRequests(), 0u);
+    EXPECT_EQ(window.releasedRequests(), arrivalsBefore(0));
 
+    // At t=w everything that arrived before w is released — and
+    // nothing newer.
     window.advanceTo(w);
     EXPECT_EQ(window.prefetchedRequests(), arrivalsBefore(2 * w));
-    EXPECT_EQ(window.releasedRequests(), 0u);
+    EXPECT_EQ(window.releasedRequests(), arrivalsBefore(w));
 
-    // At t=2w the t=0 boundary ages out: everything prefetched then
-    // (arrivals < w) is released — and nothing newer.
-    window.advanceTo(2 * w);
+    // A repeated boundary releases nothing more.
+    window.advanceTo(w);
     EXPECT_EQ(window.releasedRequests(), arrivalsBefore(w));
 
     // Walk far past the end: everything ends up prefetched + released.
@@ -220,22 +254,77 @@ TEST(ReplayWindow, CursorPrefetchesAheadAndReleasesTwoWindowsBehind)
     EXPECT_EQ(window.releasedRequests(), view.requestCount());
 }
 
-TEST(ReplayWindow, ResweepsReleasedPrefixPeriodically)
+/**
+ * Pages of [begin, end) mapped into this process, counted over the
+ * pages wholly inside the range (bit 63 of a /proc/self/pagemap entry:
+ * present); -1 when pagemap cannot be read.
+ */
+std::int64_t
+mappedPages(const std::byte *begin, const std::byte *end)
 {
-    // Under overload, dispatch refaults pages behind the release
-    // horizon; the window must keep re-dropping the released prefix on
-    // a fixed boundary cadence, not release each row only once.
+    const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+    const auto first =
+        (reinterpret_cast<std::uintptr_t>(begin) + page - 1) / page;
+    const auto last = reinterpret_cast<std::uintptr_t>(end) / page;
+    const int fd = ::open("/proc/self/pagemap", O_RDONLY);
+    if (fd < 0)
+        return -1;
+    std::int64_t mapped = 0;
+    for (std::uintptr_t p = first; p < last && mapped >= 0; ++p) {
+        std::uint64_t entry = 0;
+        if (::pread(fd, &entry, sizeof entry,
+                    static_cast<off_t>(p * sizeof entry)) != sizeof entry)
+            mapped = -1;
+        else
+            mapped += static_cast<std::int64_t>(entry >> 63);
+    }
+    ::close(fd);
+    return mapped;
+}
+
+TEST(ReplayWindow, ReleasedRowsStayUnmappedUnderBacklog)
+{
+    // The engine reads a row once, when it schedules that arrival, and
+    // carries the request by value after that.  So the rows behind the
+    // window stay unmapped even while their requests wait many windows
+    // in a backlog: one small worker keeps cidre's channels deep.
+    core::EngineConfig config;
+    config.cluster.workers = 1;
+    config.cluster.total_memory_mb = 5 * 1024;
     const TraceImage image =
         TraceImage::open(smallImage(), TraceOpenMode::Streaming);
-    const sim::SimTime w = sim::sec(60);
+    core::Engine engine(image.view(), config,
+                        policies::makePolicy("cidre", config));
+    const sim::SimTime w = sim::sec(1);
     ReplayWindow window(image, w);
+    engine.begin();
+    window.advanceTo(0);
+    for (sim::SimTime now = w; !engine.drained(); now += w) {
+        engine.stepUntil(now);
+        window.advanceTo(now);
+    }
+    const std::uint64_t n = image.requestCount();
+    ASSERT_EQ(window.releasedRequests(), n);
 
-    const std::uint64_t period = ReplayWindow::kResweepPeriod;
-    for (std::uint64_t i = 0; i < 3 * period; ++i)
-        window.advanceTo(static_cast<sim::SimTime>(i) * w);
-    // Boundaries 0..period-1 contain one resweep (at the period-th
-    // call); released_ is nonzero by then, so every period fires.
-    EXPECT_EQ(window.resweeps(), 3u);
+    const TraceImageHeader &header = image.header();
+    const std::byte *base = image.mapData();
+    const std::pair<std::uint64_t, std::uint64_t> columns[] = {
+        {header.functions_col_offset, 4},
+        {header.arrivals_col_offset, 8},
+        {header.exec_col_offset, 8}};
+    for (const auto &[offset, width] : columns) {
+        const std::int64_t mapped =
+            mappedPages(base + offset, base + offset + n * width);
+        if (mapped < 0)
+            GTEST_SKIP() << "/proc/self/pagemap is not readable";
+        EXPECT_EQ(mapped, 0) << "column at offset " << offset;
+    }
+
+    // The backlog was real: some request waited longer than a window.
+    const core::RunMetrics metrics = engine.finish();
+    EXPECT_EQ(metrics.total(), n);
+    EXPECT_GT(metrics.overheadHistogram().maxValue(),
+              static_cast<std::uint64_t>(2 * w));
 }
 
 TEST(ReplayWindow, WindowedReplayIsBitIdenticalToResidentRun)

@@ -10,9 +10,12 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/engine.h"
+#include "policies/registry.h"
 #include "tests/temp_file.h"
 #include "trace/generators.h"
 #include "trace/trace.h"
@@ -358,6 +361,81 @@ TEST(TraceImage, ChecksumIsStableAndPositionSensitive)
               traceImageChecksum(swapped, sizeof swapped));
     EXPECT_NE(traceImageChecksum(data, sizeof data),
               traceImageChecksum(data, sizeof data - 1));
+}
+
+/**
+ * Write tinyTrace()'s image to @p path with @p patch applied to its
+ * bytes and the payload checksum recomputed, so that only the checks
+ * behind the checksum can catch the change.
+ */
+template <typename Patch>
+void
+writeResealedTinyImage(const std::string &path, Patch patch)
+{
+    writeTraceImageFile(tinyTrace(), path);
+    std::vector<char> bytes = readAll(path);
+    TraceImageHeader header;
+    std::memcpy(&header, bytes.data(), sizeof header);
+    patch(header, bytes);
+    header.payload_checksum = traceImageChecksum(
+        reinterpret_cast<const std::byte *>(bytes.data()) +
+            header.header_bytes,
+        header.file_bytes - header.header_bytes);
+    std::memcpy(bytes.data(), &header, sizeof header);
+    writeAll(path, bytes);
+}
+
+/** Overwrite the 8-byte time at @p offset in @p bytes. */
+void
+patchTime(std::vector<char> &bytes, std::uint64_t offset, sim::SimTime t)
+{
+    std::memcpy(bytes.data() + offset, &t, sizeof t);
+}
+
+TEST(TraceImage, RejectsANegativeFirstArrival)
+{
+    const test::TempFile file("negative_arrival.ctrb");
+    writeResealedTinyImage(
+        file.path(), [](const TraceImageHeader &h, std::vector<char> &b) {
+            patchTime(b, h.arrivals_col_offset, -1);
+        });
+    std::string errors[2];
+    const TraceOpenMode modes[2] = {TraceOpenMode::Resident,
+                                    TraceOpenMode::Streaming};
+    for (int m = 0; m < 2; ++m) {
+        try {
+            const TraceImage image = TraceImage::open(file.path(), modes[m]);
+        } catch (const std::runtime_error &e) {
+            errors[m] = e.what();
+        }
+    }
+    EXPECT_NE(errors[0].find("negative arrival time"), std::string::npos)
+        << errors[0];
+    EXPECT_EQ(errors[1], errors[0]);
+}
+
+TEST(TraceImage, ResealedNegativeExecFailsAtTheEngineIntake)
+{
+    // The reader leaves exec times to the engine's one intake check,
+    // which names the request before anything is scheduled from it.
+    const test::TempFile file("negative_exec.ctrb");
+    writeResealedTinyImage(
+        file.path(), [](const TraceImageHeader &h, std::vector<char> &b) {
+            patchTime(b, h.exec_col_offset + 8, -sim::sec(5));
+        });
+    const TraceImage image = TraceImage::open(file.path());
+    ASSERT_EQ(image.view().execUs(1), -sim::sec(5));
+    core::EngineConfig config;
+    core::Engine engine(image.view(), config,
+                        policies::makePolicy("ttl", config));
+    std::string error;
+    try {
+        engine.run();
+    } catch (const std::invalid_argument &e) {
+        error = e.what();
+    }
+    EXPECT_NE(error.find("request 1: negative exec time"), std::string::npos)
+        << error;
 }
 
 } // namespace
