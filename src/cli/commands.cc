@@ -1085,27 +1085,35 @@ runLive(const Options &options, std::ostream &out, std::ostream &err)
 
     // The consumer (this thread) drains until the producers have joined;
     // a closer thread flips the done flag after the final push so the
-    // orchestrator's empty-ring re-drain check is race-free.
+    // orchestrator's empty-ring re-drain check is race-free.  When an
+    // admission throws, the consumer keeps draining until the producers
+    // are done, so that none stays blocked on a full ring, joins the
+    // closer and rethrows.
     live::LiveStats live_stats;
+    const auto consume = [&](auto &source) {
+        source.start();
+        std::thread closer([&] {
+            source.join();
+            done.store(true, std::memory_order_release);
+        });
+        try {
+            live_stats = live::runLive(engine, ring, done, orch);
+        } catch (...) {
+            std::vector<live::IngestRequest> sink(256);
+            while (!done.load(std::memory_order_acquire))
+                ring.drain(sink.data(), sink.size());
+            closer.join();
+            throw;
+        }
+        closer.join();
+    };
     if (open_loop) {
         live::SyntheticProducers producers(ring, producer_stats,
                                            synth_options);
-        producers.start();
-        std::thread closer([&] {
-            producers.join();
-            done.store(true, std::memory_order_release);
-        });
-        live_stats = live::runLive(engine, ring, done, orch);
-        closer.join();
+        consume(producers);
     } else {
         live::TracePacer pacer(view, ring, producer_stats, pacer_options);
-        pacer.start();
-        std::thread closer([&] {
-            pacer.join();
-            done.store(true, std::memory_order_release);
-        });
-        live_stats = live::runLive(engine, ring, done, orch);
-        closer.join();
+        consume(pacer);
     }
     const core::RunMetrics metrics = engine.finish(nullptr);
 

@@ -8,9 +8,8 @@
 namespace cidre::sim {
 
 void
-EventQueue::siftUp(std::size_t index)
+EventQueue::siftUp(std::size_t index, Event event)
 {
-    const Event event = heap_[index];
     while (index > 0) {
         const std::size_t parent = (index - 1) / 4;
         if (!earlier(event, heap_[parent]))
@@ -45,12 +44,37 @@ EventQueue::siftDown(std::size_t index)
 }
 
 void
+EventQueue::refillRoot(Event last)
+{
+    // Floyd's hole descent: the record taken from the bottom belongs
+    // near the bottom again, so walk the root's hole down the earliest
+    // child to a leaf (three comparisons a level, none against the
+    // record), then sift the record up from there.
+    const std::size_t size = heap_.size();
+    std::size_t hole = 0;
+    for (;;) {
+        const std::size_t first = hole * 4 + 1;
+        if (first >= size)
+            break;
+        const std::size_t last_child = std::min(first + 4, size);
+        std::size_t best = first;
+        for (std::size_t child = first + 1; child < last_child; ++child) {
+            if (earlier(heap_[child], heap_[best]))
+                best = child;
+        }
+        heap_[hole] = heap_[best];
+        hole = best;
+    }
+    siftUp(hole, last);
+}
+
+void
 EventQueue::push(const Event &event)
 {
     if (event.when < now_)
         throw std::logic_error("EventQueue: scheduling into the past");
     heap_.push_back(event);
-    siftUp(heap_.size() - 1);
+    siftUp(heap_.size() - 1, event);
 }
 
 void
@@ -89,10 +113,10 @@ EventQueue::pop()
         if (heap_.empty())
             throw std::logic_error("EventQueue: pop from an empty queue");
         top = heap_.front();
-        heap_.front() = heap_.back();
+        const Event last = heap_.back();
         heap_.pop_back();
         if (!heap_.empty())
-            siftDown(0);
+            refillRoot(last);
     }
     now_ = top.when;
     last_event_ = top.when;

@@ -27,6 +27,14 @@
  * order one heap holding both would give.  schedule and pop allocate
  * nothing once the vector has grown to the simulation's high-water
  * mark.
+ *
+ * A push sifts the new record up.  A pop refills the root by Floyd's
+ * hole descent: the hole walks down the earliest child to a leaf, and
+ * the heap's last record, which belongs near the bottom, is sifted up
+ * from there: three comparisons per level where a sift down takes
+ * four.  Since (when, seq) is a total order, the pop sequence is the
+ * same whichever way the heap is arranged; only the order of pending()
+ * (and of a checkpoint's records) depends on it.
  */
 
 #ifndef CIDRE_SIM_EVENT_QUEUE_H
@@ -198,8 +206,12 @@ class EventQueue
     }
 
     void push(const Event &event);
-    void siftUp(std::size_t index);
+    /** Place @p event at @p index or above it. */
+    void siftUp(std::size_t index, Event event);
+    /** Move heap_[index] down to its place (the load-time heapify). */
     void siftDown(std::size_t index);
+    /** Refill the root after a pop with @p last, the removed bottom. */
+    void refillRoot(Event last);
 
     /** 4-ary min-heap on (when, seq). */
     std::vector<Event> heap_;

@@ -2,11 +2,55 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <stdexcept>
 
 #include "sim/serialize.h"
 
 namespace cidre::stats {
+
+namespace {
+
+/**
+ * Number of leading elements of the ascending @p values[0, n) for which
+ * @p before(element) holds, by a halving search with no data-dependent
+ * branch, so a rank costs no mispredictions.
+ */
+template <typename Before>
+std::size_t
+rankOf(const double *values, std::size_t n, Before before)
+{
+    if (n == 0)
+        return 0;
+    // The rank lies in [lo, lo + n]; each step halves n.  Written as a
+    // select of two indices, the step compiles to a cmov (GCC keeps a
+    // branch for a conditional add to a pointer).
+    std::size_t lo = 0;
+    while (n > 1) {
+        const std::size_t half = n / 2;
+        lo = before(values[lo + half - 1]) ? lo + half : lo;
+        n -= half;
+    }
+    return lo + (before(values[lo]) ? 1 : 0);
+}
+
+/** Rank of the first copy of @p value in the ascending @p sorted. */
+std::size_t
+lowerRank(const std::vector<double> &sorted, double value)
+{
+    return rankOf(sorted.data(), sorted.size(),
+                  [value](double x) { return x < value; });
+}
+
+/** Rank just past the last copy of @p value in the ascending @p sorted. */
+std::size_t
+upperRank(const std::vector<double> &sorted, double value)
+{
+    return rankOf(sorted.data(), sorted.size(),
+                  [value](double x) { return !(value < x); });
+}
+
+} // namespace
 
 SlidingWindow::SlidingWindow(sim::SimTime horizon, std::size_t max_samples)
     : horizon_(horizon), max_samples_(max_samples)
@@ -36,16 +80,49 @@ SlidingWindow::dropFront()
     const Entry &front = ring_[head_];
     sum_ -= front.value;
     if (ranked_) {
-        const auto it =
-            std::lower_bound(sorted_.begin(), sorted_.end(), front.value);
-        assert(it != sorted_.end() && *it == front.value);
-        sorted_.erase(it);
+        const std::size_t rank = lowerRank(sorted_, front.value);
+        assert(rank < sorted_.size() && sorted_[rank] == front.value);
+        sorted_.erase(sorted_.begin() + static_cast<std::ptrdiff_t>(rank));
     }
-    head_ = (head_ + 1) % ring_.size();
+    if (++head_ == ring_.size())
+        head_ = 0;
     --size_;
     if (size_ == 0) {
         head_ = 0;
         sum_ = 0.0; // shed accumulated floating-point drift
+    }
+}
+
+void
+SlidingWindow::replaceFront(sim::SimTime now, double value)
+{
+    // The ring is full, so the oldest slot is where the newest goes.
+    assert(size_ == max_samples_ && size_ == ring_.size());
+    Entry &slot = ring_[head_];
+    const double old = slot.value;
+    // Bit for bit what dropFront() then an append would leave: a window
+    // of one empties in between, which resets the sum to zero.
+    sum_ = (size_ == 1 ? 0.0 : sum_ - old) + value;
+    slot = {now, value};
+    if (++head_ == ring_.size())
+        head_ = 0;
+    if (!ranked_)
+        return;
+    // The companion drops the first copy of the old value and takes the
+    // new one after every copy of it: one shift of the values between
+    // the two ranks moves them into place.
+    double *sorted = sorted_.data();
+    const std::size_t from = lowerRank(sorted_, old);
+    const std::size_t to = upperRank(sorted_, value);
+    assert(from < sorted_.size() && sorted[from] == old);
+    if (to > from) {
+        std::memmove(sorted + from, sorted + from + 1,
+                     (to - 1 - from) * sizeof(double));
+        sorted[to - 1] = value;
+    } else {
+        std::memmove(sorted + to + 1, sorted + to,
+                     (from - to) * sizeof(double));
+        sorted[to] = value;
     }
 }
 
@@ -63,16 +140,22 @@ void
 SlidingWindow::add(sim::SimTime now, double value)
 {
     assert(size_ == 0 || now >= at(size_ - 1).when);
-    if (size_ == max_samples_)
-        dropFront(); // retention cap: newest wins
-    if (size_ == ring_.size())
-        growRing();
-    ring_[(head_ + size_) % ring_.size()] = {now, value};
-    ++size_;
-    sum_ += value;
-    if (ranked_) {
-        sorted_.insert(
-            std::upper_bound(sorted_.begin(), sorted_.end(), value), value);
+    if (size_ == max_samples_) {
+        replaceFront(now, value); // retention cap: newest wins
+    } else {
+        if (size_ == ring_.size())
+            growRing();
+        std::size_t tail = head_ + size_;
+        if (tail >= ring_.size())
+            tail -= ring_.size();
+        ring_[tail] = {now, value};
+        ++size_;
+        sum_ += value;
+        if (ranked_) {
+            const std::size_t rank = upperRank(sorted_, value);
+            sorted_.insert(
+                sorted_.begin() + static_cast<std::ptrdiff_t>(rank), value);
+        }
     }
     expire(now);
 }

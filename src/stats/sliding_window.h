@@ -18,6 +18,14 @@
  * a window that is never ranked (the engine's arrival window) never
  * pays for one.  Both statistics are *exact*: the companion holds the
  * same multiset a fresh sort would.
+ *
+ * Keeping the companion costs a rank search and one shift per change.
+ * A rank is a branch-free halving search (a conditional move per step,
+ * no mispredictions).  An expiry erases the oldest value and an add
+ * below the cap inserts the new one; an add at the cap, the common
+ * case of a hot function, puts the new sample in the oldest one's ring
+ * slot and moves its value into place with a single shift of the values
+ * between the two ranks.
  */
 
 #ifndef CIDRE_STATS_SLIDING_WINDOW_H
@@ -98,11 +106,19 @@ class SlidingWindow
 
     const Entry &at(std::size_t i) const
     {
-        return ring_[(head_ + i) % ring_.size()];
+        const std::size_t slot = head_ + i;
+        return ring_[slot < ring_.size() ? slot : slot - ring_.size()];
     }
 
     /** Drop the oldest entry (ring + sum, and the companion if built). */
     void dropFront();
+
+    /**
+     * Add at the retention cap: the new entry takes the oldest one's
+     * ring slot (ring + sum, and the companion if built), leaving what
+     * dropFront() followed by an append would.
+     */
+    void replaceFront(sim::SimTime now, double value);
 
     /** Grow the ring (and companion reserve) toward max_samples_. */
     void growRing();

@@ -59,10 +59,14 @@ ReplayAdvicePlanner::planRelease(std::uint64_t begin, std::uint64_t end,
 {
     if (end <= begin)
         return;
-    // Each column's span starts at the page holding row `begin`.
+    // Each column's span starts one fault-around reach before the page
+    // holding row `begin`: a read fault there since the last release
+    // may have re-mapped released pages of its block.
+    const std::uint64_t reach = kFaultAroundPages * page_;
     const auto release = [&](std::uint64_t column, std::uint64_t width) {
+        const std::uint64_t page = (column + begin * width) & ~(page_ - 1);
         const std::uint64_t from =
-            std::max(column, (column + begin * width) & ~(page_ - 1));
+            page > column + reach ? page - reach : column;
         pushInward(from, column + end * width - from, out);
     };
     release(header_.functions_col_offset, 4);

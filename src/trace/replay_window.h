@@ -17,7 +17,9 @@
  *    [now, now + w) — the pages the engine is about to fault — and
  *  - MADV_DONTNEEDs the rows of requests that arrived before now,
  *    which the engine has read for the last time, plus their slots of
- *    the per-function arrival index.
+ *    the per-function arrival index.  Each release reaches a page
+ *    table back behind the cursor, since a fault ahead of it can
+ *    re-map released pages (ReplayAdvicePlanner::kFaultAroundPages).
  *
  * Peak RSS then tracks the *window's* request volume, not the trace's,
  * even under overload: a backlog holds its requests by value, not by
@@ -77,10 +79,24 @@ class ReplayAdvicePlanner
     /**
      * Release the column rows of requests [begin, end), the rows before
      * @p begin being released already: the page holding row @p begin
-     * goes too, so no page straddling two calls is left behind.
+     * goes too, so no page straddling two calls is left behind, and so
+     * do the kFaultAroundPages pages before it.
      */
     void planRelease(std::uint64_t begin, std::uint64_t end,
                      std::vector<AdviceSpan> &out) const;
+
+    /**
+     * How far behind the cursor a read fault can re-map pages.  On a
+     * fault in a file mapping, Linux may map more than the faulting
+     * page: the cached pages of the aligned block around it
+     * (fault-around, 64 KiB by default), or a large folio whole, but
+     * never past the page table that maps it (512 pages).  When the
+     * first fault in a block left some pages out (a cold or busy page
+     * cache), a later fault there re-maps the block's released pages
+     * as well; re-releasing this many pages behind the cursor drops
+     * them again.
+     */
+    static constexpr std::uint64_t kFaultAroundPages = 512;
 
     /** Release arrival-index value slots [begin, end) (absolute slots). */
     void planIndexRelease(std::uint64_t begin, std::uint64_t end,

@@ -348,6 +348,57 @@ TEST(CidreSim, TrialsOverOneTraceFileAreRejected)
               0);
 }
 
+TEST(CidreSim, LiveReportsAnAdmissionErrorLikeRun)
+{
+    // The second request's exec time overflows the simulated horizon, so
+    // the engine's intake throws on it: run fails as it schedules the
+    // arrival, live as it admits it, while the producer is still running.
+    const test::TempFile csv("sim_overflow_trace.csv");
+    {
+        std::ofstream out(csv.path());
+        out << "F,0,fn0,128,1000,python,500\n"
+               "R,0,10,20\n"
+               "R,0,20,9223372036854775807\n"
+               "R,0,30,20\n";
+    }
+    const std::string message =
+        "Engine: request 1: arrival + exec exceeds the simulated time "
+        "horizon";
+    for (const std::string command : {"run", "live"}) {
+        const RunResult r = invoke({command, "--trace", csv.path()});
+        EXPECT_EQ(r.status, 2) << command;
+        EXPECT_NE(r.err.find(message), std::string::npos)
+            << command << ": " << r.err;
+    }
+
+    // With many rows behind the bad one and a two-slot ring, the pacer
+    // is blocked on the full ring when the admission throws.
+    const test::TempFile long_csv("sim_overflow_long_trace.csv");
+    {
+        std::ofstream out(long_csv.path());
+        out << "F,0,fn0,128,1000,python,500\n"
+               "R,0,10,20\n"
+               "R,0,20,9223372036854775807\n";
+        for (int i = 0; i < 5000; ++i)
+            out << "R,0," << 30 + i << ",20\n";
+    }
+    const RunResult blocked = invoke(
+        {"live", "--trace", long_csv.path(), "--ring-capacity", "2"});
+    EXPECT_EQ(blocked.status, 2);
+    EXPECT_NE(blocked.err.find(message), std::string::npos) << blocked.err;
+
+    // The open-loop producers: every exec time overflows the horizon.
+    const RunResult open_loop = invoke(
+        {"live", "--trace", long_csv.path(), "--open-loop", "--producers",
+         "2", "--open-loop-requests", "20000", "--open-loop-exec-ms",
+         "5000000000000000", "--ring-capacity", "2"});
+    EXPECT_EQ(open_loop.status, 2);
+    EXPECT_NE(open_loop.err.find("Engine: request 0: arrival + exec "
+                                 "exceeds the simulated time horizon"),
+              std::string::npos)
+        << open_loop.err;
+}
+
 TEST(CidreSim, ErrorsAreReported)
 {
     const RunResult bad_kind =

@@ -8,12 +8,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <map>
+#include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/distributions.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
+#include "sim/serialize.h"
 
 namespace cidre::sim {
 namespace {
@@ -64,6 +70,82 @@ TEST_P(SeededSimTest, EventQueueMatchesReferenceScheduler)
                              planned[static_cast<std::size_t>(b)].when;
                      });
     EXPECT_EQ(executed, expected_order);
+}
+
+TEST_P(SeededSimTest, DeepQueueWithTiesAndLanePopsInWhenSeqOrder)
+{
+    // Thousands of pending events over a few hundred distinct times, so
+    // the heap is deep and ties are the rule; the reserved lane holds an
+    // event now and then, and mid-stream the queue is checkpointed into
+    // a fresh one, which carries on.  Every pop must be the reference's
+    // earliest (when, seq), and b (set to seq) must come back with it.
+    Rng gen = rng();
+    auto queue = std::make_unique<EventQueue>();
+    std::set<std::pair<SimTime, std::uint64_t>> reference;
+    std::uint64_t next_seq = 1; // the queue's numbering, mirrored
+    std::uint64_t reserved = 0; // a reservation not yet scheduled
+    bool lane_full = false;
+    std::uint64_t lane_seq = 0;
+
+    const auto scheduleOne = [&] {
+        const SimTime when = queue->now() +
+            static_cast<SimTime>(gen.below(300));
+        queue->schedule(when, 1, 0, next_seq);
+        reference.emplace(when, next_seq++);
+    };
+    const auto popOne = [&] {
+        ASSERT_FALSE(reference.empty());
+        const Event event = queue->pop();
+        const auto expected = *reference.begin();
+        reference.erase(reference.begin());
+        ASSERT_EQ(event.when, expected.first);
+        ASSERT_EQ(event.seq, expected.second);
+        ASSERT_EQ(event.b, event.seq);
+        if (lane_full && event.seq == lane_seq)
+            lane_full = false;
+    };
+
+    for (int i = 0; i < 6000; ++i)
+        scheduleOne();
+    for (int step = 0; step < 30000; ++step) {
+        if (reserved == 0 && !lane_full && gen.chance(0.05)) {
+            reserved = queue->reserveSeq();
+            ASSERT_EQ(reserved, next_seq++);
+        } else if (reserved != 0 && gen.chance(0.3)) {
+            const SimTime when = queue->now() +
+                static_cast<SimTime>(gen.below(300));
+            queue->scheduleReserved(when, reserved, 1, 0, reserved);
+            reference.emplace(when, reserved);
+            lane_full = true;
+            lane_seq = reserved;
+            reserved = 0;
+        }
+        // Keep at least 5,000 pending: schedule as many as pop.
+        const int pops = 1 + static_cast<int>(gen.below(3));
+        for (int k = 0; k < pops; ++k) {
+            popOne();
+            if (HasFatalFailure())
+                return;
+            scheduleOne();
+        }
+        ASSERT_GE(reference.size(), 5000u);
+
+        if (step == 15000) {
+            StateWriter writer;
+            queue->saveState(writer);
+            const std::vector<std::byte> bytes = writer.release();
+            queue = std::make_unique<EventQueue>();
+            StateReader reader(bytes);
+            queue->loadState(reader);
+            lane_full = false; // a restored lane starts empty
+        }
+    }
+    while (!reference.empty()) {
+        popOne();
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_TRUE(queue->empty());
 }
 
 TEST_P(SeededSimTest, ExponentialMemoryless)

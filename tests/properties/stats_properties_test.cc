@@ -8,11 +8,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "sim/rng.h"
+#include "sim/serialize.h"
 #include "stats/cdf.h"
 #include "stats/latency_histogram.h"
 #include "stats/sliding_window.h"
@@ -158,6 +162,118 @@ TEST_P(SeededPropertyTest, SlidingWindowExpireHeavyMatchesReference)
                 q * static_cast<double>(values.size() - 1) + 0.5);
             EXPECT_DOUBLE_EQ(window.percentile(q), values[rank]);
             EXPECT_DOUBLE_EQ(window.median(), values[values.size() / 2]);
+        }
+    }
+}
+
+/** When a window's sorted companion is first built. */
+enum class RankStart
+{
+    BeforeFill, //!< on the first add
+    MidStream,  //!< once the cap has forced drops for a while
+    AfterLoad,  //!< right after a saveState/loadState round trip
+};
+
+/**
+ * A window against a reference deque under heavy ties: values come
+ * from eight tenths, so the companion's ranks land among equal values,
+ * and the retention cap, horizon expiry and explicit expire() all drop
+ * samples.  The reference sum takes the same floating-point steps the
+ * window promises (drop, reset to zero when emptied, then add), so
+ * mean() is checked bit for bit.
+ */
+void
+checkWindowAgainstReference(sim::Rng &gen, std::size_t cap, RankStart start)
+{
+    const sim::SimTime horizon = sim::sec(20);
+    auto window = std::make_unique<SlidingWindow>(horizon, cap);
+    std::deque<std::pair<sim::SimTime, double>> reference;
+    double sum = 0.0;
+    const auto dropOldest = [&] {
+        sum -= reference.front().second;
+        reference.pop_front();
+        if (reference.empty())
+            sum = 0.0;
+    };
+    const auto dropExpired = [&](sim::SimTime now) {
+        while (!reference.empty() &&
+               reference.front().first < now - horizon)
+            dropOldest();
+    };
+
+    const int steps = static_cast<int>(std::max<std::size_t>(600, 3 * cap));
+    const int rank_at = start == RankStart::BeforeFill ? 0
+        : start == RankStart::MidStream
+        ? static_cast<int>(cap + cap / 2)
+        : steps / 2;
+    bool ranked = false;
+    sim::SimTime now = 0;
+    for (int i = 0; i < steps; ++i) {
+        // Mostly dense adds, so the cap binds; now and then a gap that
+        // expires part or all of the window.
+        now += static_cast<sim::SimTime>(
+            gen.chance(0.02) ? gen.below(sim::sec(30))
+                             : gen.below(sim::msec(20)));
+        if (gen.chance(0.05)) {
+            window->expire(now);
+            dropExpired(now);
+        } else {
+            const double value = static_cast<double>(gen.below(8)) * 0.1;
+            window->add(now, value);
+            if (reference.size() == cap)
+                dropOldest();
+            reference.emplace_back(now, value);
+            sum += value;
+            dropExpired(now);
+        }
+        if (i == rank_at && start == RankStart::AfterLoad) {
+            sim::StateWriter writer;
+            window->saveState(writer);
+            const std::vector<std::byte> bytes = writer.release();
+            window = std::make_unique<SlidingWindow>(horizon, cap);
+            sim::StateReader reader(bytes);
+            window->loadState(reader);
+        }
+        ranked = ranked || (i >= rank_at && !reference.empty());
+        ASSERT_EQ(window->count(), reference.size()) << "step " << i;
+        if (reference.empty() || !ranked)
+            continue;
+
+        std::vector<double> sorted;
+        for (const auto &[when, v] : reference)
+            sorted.push_back(v);
+        std::sort(sorted.begin(), sorted.end());
+        const auto at = [&](double q) {
+            return sorted[static_cast<std::size_t>(
+                q * static_cast<double>(sorted.size() - 1) + 0.5)];
+        };
+        for (const double q : {0.0, 0.25, 0.5, 0.9, 1.0, gen.uniform()}) {
+            ASSERT_EQ(window->percentile(q), at(q))
+                << "step " << i << " q " << q;
+        }
+        const double mean = sum / static_cast<double>(reference.size());
+        const double got = window->mean();
+        ASSERT_EQ(std::memcmp(&got, &mean, sizeof got), 0)
+            << "step " << i << ": " << got << " vs " << mean;
+        if (cap == 1) {
+            ASSERT_EQ(got, reference.back().second) << "step " << i;
+        }
+        ASSERT_EQ(window->earliestTime(), reference.front().first);
+        ASSERT_EQ(window->latestTime(), reference.back().first);
+    }
+}
+
+TEST_P(SeededPropertyTest, RankedWindowMatchesReferenceUnderTies)
+{
+    sim::Rng gen = rng();
+    for (const std::size_t cap : {1, 2, 3, 64, 512}) {
+        for (const RankStart start : {RankStart::BeforeFill,
+                                      RankStart::MidStream,
+                                      RankStart::AfterLoad}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "cap " << cap << " start "
+                         << static_cast<int>(start));
+            checkWindowAgainstReference(gen, cap, start);
         }
     }
 }

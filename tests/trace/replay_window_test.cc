@@ -171,6 +171,32 @@ TEST(ReplayAdvicePlanner, ConsecutiveReleasesLeaveNoPageBehind)
     }
 }
 
+TEST(ReplayAdvicePlanner, ReleaseReachesBackOverTheFaultAroundBlock)
+{
+    // A fault ahead of the cursor may have re-mapped released pages up
+    // to a page table behind it, so each release starts that far back,
+    // but never before the column's first whole page.
+    TraceImageHeader header = plannerHeader();
+    header.request_count = 100000;
+    header.arrivals_col_offset = header.functions_col_offset + 100000 * 4;
+    header.exec_col_offset = header.arrivals_col_offset + 100000 * 8;
+    const ReplayAdvicePlanner planner(header, kPage);
+    const std::uint64_t reach = ReplayAdvicePlanner::kFaultAroundPages * kPage;
+    const std::uint64_t column = header.arrivals_col_offset;
+    std::vector<AdviceSpan> spans;
+    planner.planRelease(50000, 60000, spans);
+    ASSERT_EQ(spans.size(), 3u);
+    const std::uint64_t page = (column + 50000 * 8) & ~(kPage - 1);
+    EXPECT_EQ(spans[1].offset, page - reach);
+    EXPECT_EQ(spans[1].offset + spans[1].length,
+              (column + 60000 * 8) & ~(kPage - 1));
+
+    spans.clear();
+    planner.planRelease(100, 60000, spans);
+    ASSERT_EQ(spans.size(), 3u);
+    EXPECT_EQ(spans[1].offset, (column + kPage - 1) & ~(kPage - 1));
+}
+
 TEST(ReplayAdvicePlanner, PartialPageReleasePlansNothing)
 {
     // Fewer rows than a page on either side: inward alignment collapses
@@ -287,10 +313,20 @@ TEST(ReplayWindow, ReleasedRowsStayUnmappedUnderBacklog)
     // The engine reads a row once, when it schedules that arrival, and
     // carries the request by value after that.  So the rows behind the
     // window stay unmapped even while their requests wait many windows
-    // in a backlog: one small worker keeps cidre's channels deep.
+    // in a backlog: one small worker keeps cidre's channels deep.  The
+    // image starts out of the page cache, as a trace larger than memory
+    // does: each fault then maps only part of its fault-around block,
+    // and a later fault in that block re-maps the released pages.
     core::EngineConfig config;
     config.cluster.workers = 1;
     config.cluster.total_memory_mb = 5 * 1024;
+    {
+        const int fd = ::open(smallImage().c_str(), O_RDONLY);
+        ASSERT_GE(fd, 0);
+        ::fdatasync(fd);
+        ::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
+        ::close(fd);
+    }
     const TraceImage image =
         TraceImage::open(smallImage(), TraceOpenMode::Streaming);
     core::Engine engine(image.view(), config,
