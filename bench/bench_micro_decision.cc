@@ -146,13 +146,13 @@ BM_WindowAdd(benchmark::State &state)
 BENCHMARK(BM_WindowAdd)->Arg(64)->Arg(512)->Arg(4096);
 
 /**
- * One incremental CIP reclaim ranking on a warm cache: bucket-head
- * k-way merge instead of the old rescore-everything-and-sort.  The
+ * One reclaim ranking on a warm cache through RankedKeepAlive's
+ * bucket-head k-way merge, under CIP (Eq. 3) and GDSF (Eq. 1).  The
  * plan is ranked but never applied, so every iteration sees the same
  * idle population.
  */
 void
-BM_CipReclaimRanking(benchmark::State &state)
+BM_CipReclaimRanking(benchmark::State &state, const char *policy)
 {
     static const trace::Trace workload = smallWorkload();
     core::EngineConfig config;
@@ -164,18 +164,24 @@ BM_CipReclaimRanking(benchmark::State &state)
     engine.begin();
     engine.stepUntil(sim::minutes(1));
 
-    policies::CipKeepAlive cip;
+    const std::unique_ptr<core::KeepAlivePolicy> ranking =
+        policies::makePolicy(policy, config).keep_alive;
     const core::ReclaimRequest demand{0, state.range(0), 0,
                                       cluster::kInvalidContainer};
     core::ReclaimPlan plan;
-    cip.planReclaim(engine, demand, plan); // warm-up: builds the buckets
+    ranking->planReclaim(engine, demand, plan); // warm-up: builds buckets
     for (auto _ : state) {
         plan.clear();
-        cip.planReclaim(engine, demand, plan);
+        ranking->planReclaim(engine, demand, plan);
         benchmark::DoNotOptimize(plan.evict.size());
     }
 }
-BENCHMARK(BM_CipReclaimRanking)->Arg(256)->Arg(1024);
+BENCHMARK_CAPTURE(BM_CipReclaimRanking, cidre, "cidre")
+    ->Arg(256)
+    ->Arg(1024);
+BENCHMARK_CAPTURE(BM_CipReclaimRanking, faascache, "faascache")
+    ->Arg(256)
+    ->Arg(1024);
 
 /**
  * Whole-engine cost per simulated event, per policy: the end-to-end
@@ -203,6 +209,14 @@ BM_PolicyEventCost(benchmark::State &state, const char *policy)
 BENCHMARK_CAPTURE(BM_PolicyEventCost, ttl, "ttl")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PolicyEventCost, faascache, "faascache")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PolicyEventCost, faascache_c, "faascache-c")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PolicyEventCost, codecrunch, "codecrunch")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PolicyEventCost, offline, "offline")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PolicyEventCost, flame, "flame")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PolicyEventCost, cidre, "cidre")
     ->Unit(benchmark::kMillisecond);

@@ -29,21 +29,31 @@ namespace {
 
 using namespace cidre;
 
-/** Evict idle containers with the cheapest rebuild cost per MB first. */
+/**
+ * Evict idle containers with the cheapest rebuild cost per MB first.
+ * A ranked policy scores an idle container as key + bonus: the key is
+ * fixed while the container sits idle, the bonus is per function and
+ * read once per reclaim scan.  Cost per MB is a property of the
+ * function, so it is all bonus.
+ */
 class CostGreedyKeepAlive : public policies::RankedKeepAlive
 {
   public:
+    CostGreedyKeepAlive() : RankedKeepAlive(Bonus::PerFunction) {}
+
     const char *name() const override { return "cost-greedy"; }
 
   protected:
-    double
-    score(core::Engine &engine, cluster::Container &container) override
+    double key(core::Engine &, const cluster::Container &) override
     {
-        const auto &fn =
-            engine.workload().functions()[container.function];
-        container.priority = static_cast<double>(fn.cold_start_us) /
+        return 0.0;
+    }
+
+    double bonus(core::Engine &engine, trace::FunctionId function) override
+    {
+        const auto &fn = engine.workload().functions()[function];
+        return static_cast<double>(fn.cold_start_us) /
             static_cast<double>(std::max<std::int64_t>(fn.memory_mb, 1));
-        return container.priority;
     }
 };
 

@@ -169,9 +169,20 @@ struct Container
     /** Set while a compressed container inflates back to full size. */
     bool restoring = false;
 
-    /** Per-container logical clock for GDSF/CIP priorities. */
+    /**
+     * The ranked keep-alive key (policies::RankedKeepAlive): GDSF's and
+     * CIP's per-container logical clock, or the key another ranked
+     * policy stored when the container last went idle.
+     */
     double clock = 0.0;
-    /** Cached priority from the last keep-alive evaluation. */
+    /**
+     * Keep-alive priority: the score the last reclaim scan of its worker
+     * gave the container while idle (written when the scan pops it, or
+     * rebuilt from the scan record when it leaves the idle list), else
+     * the value its policy set on admit or use.  Read by the engine's
+     * eviction watermark (plan victims), CIP's clock refresh and GDSF's
+     * watermark.
+     */
     double priority = 0.0;
 
     // Intrusive indices for O(1) membership updates in the engine's

@@ -57,8 +57,10 @@ static_assert(sizeof(CheckpointHeader) == 40,
  * of sim::Event records.  Version 5 drops the run timeline from
  * RunMetrics and the change epoch from every sliding window.  Version 6
  * holds each waiting request by value, and a live run's stream state.
+ * Version 7 carries the idle ranking (buckets and scan records) of
+ * every ranked keep-alive policy, not only CIP's.
  */
-inline constexpr std::uint32_t kCheckpointVersion = 6;
+inline constexpr std::uint32_t kCheckpointVersion = 7;
 
 /**
  * Digest of the run configuration a checkpoint belongs to: engine

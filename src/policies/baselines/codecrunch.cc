@@ -19,42 +19,44 @@ CodeCrunchKeepAlive::planReclaim(core::Engine &engine,
                                  const core::ReclaimRequest &request,
                                  core::ReclaimPlan &plan)
 {
-    const Ranking &ranked = rankedIdle(engine, request.worker);
+    beginScan(engine, request.worker);
 
     const double ratio = engine.config().compression_ratio;
     std::int64_t freed = 0;
     // First pass: compress live idle containers, evict compressed ones.
-    for (const RankEntry &entry : ranked) {
-        const cluster::ContainerId cid = entry.id;
-        if (freed >= request.need_mb)
+    popped_.clear();
+    while (freed < request.need_mb) {
+        const cluster::Container *c = popLowest(engine);
+        if (c == nullptr)
             break;
-        if (cid == request.exclude)
+        popped_.push_back(c);
+        if (c->id == request.exclude)
             continue;
-        const cluster::Container &c = engine.clusterRef().container(cid);
-        if (c.compressed()) {
-            plan.evict.push_back(cid);
-            freed += c.memory_mb;
+        if (c->compressed()) {
+            plan.evict.push_back(c->id);
+            freed += c->memory_mb;
         } else {
-            plan.compress.push_back(cid);
-            freed += c.full_memory_mb - std::max<std::int64_t>(
+            plan.compress.push_back(c->id);
+            freed += c->full_memory_mb - std::max<std::int64_t>(
                 1, static_cast<std::int64_t>(
-                       static_cast<double>(c.full_memory_mb) / ratio));
+                       static_cast<double>(c->full_memory_mb) / ratio));
         }
     }
     if (freed >= request.need_mb)
         return;
 
-    // Compression alone cannot satisfy the demand: fall back to evicting
-    // from the lowest score upward (compressed or not).
+    // Compression alone cannot satisfy the demand, and the pass above
+    // popped every idle container: evict from the lowest score upward
+    // (compressed or not).
     plan.clear();
     freed = 0;
-    for (const RankEntry &entry : ranked) {
+    for (const cluster::Container *c : popped_) {
         if (freed >= request.need_mb)
             break;
-        if (entry.id == request.exclude)
+        if (c->id == request.exclude)
             continue;
-        plan.evict.push_back(entry.id);
-        freed += engine.clusterRef().container(entry.id).memory_mb;
+        plan.evict.push_back(c->id);
+        freed += c->memory_mb;
     }
     if (freed < request.need_mb)
         plan.evict.clear();

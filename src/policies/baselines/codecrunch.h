@@ -10,13 +10,16 @@
  *
  * Plan construction: rank idle containers by a GDSF-style cost-aware
  * score; walk from the lowest score, compressing live containers and
- * evicting already-compressed ones until the demand is met.  The engine
- * models the restore path (StartType::Restored) and charges
+ * evicting already-compressed ones until the demand is met.  If the walk
+ * runs out first, evict from the lowest score of the same order.  The
+ * engine models the restore path (StartType::Restored) and charges
  * EngineConfig::restore_cost_fraction of the cold start.
  */
 
 #ifndef CIDRE_POLICIES_BASELINES_CODECRUNCH_H
 #define CIDRE_POLICIES_BASELINES_CODECRUNCH_H
+
+#include <vector>
 
 #include "policies/keepalive/gdsf.h"
 
@@ -33,6 +36,10 @@ class CodeCrunchKeepAlive : public GdsfKeepAlive
     void planReclaim(core::Engine &engine,
                      const core::ReclaimRequest &request,
                      core::ReclaimPlan &plan) override;
+
+  private:
+    /** The merged order the compress pass popped (reused scratch). */
+    std::vector<const cluster::Container *> popped_;
 };
 
 /** Assemble the CodeCrunch bundle (vanilla scaling). */

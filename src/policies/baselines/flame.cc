@@ -26,7 +26,7 @@ recentRatePerMin(const core::FunctionState &fs)
 } // namespace
 
 FlameKeepAlive::FlameKeepAlive(const FlameConfig &config)
-    : config_(config)
+    : RankedKeepAlive(Bonus::PerFunction), config_(config)
 {
 }
 
@@ -38,18 +38,17 @@ FlameKeepAlive::isHot(core::Engine &engine, trace::FunctionId function) const
 }
 
 double
-FlameKeepAlive::score(core::Engine &engine, cluster::Container &container)
+FlameKeepAlive::key(core::Engine &, const cluster::Container &container)
+{
+    return lastUse(container);
+}
+
+double
+FlameKeepAlive::bonus(core::Engine &engine, trace::FunctionId function)
 {
     // Cold-function containers occupy the bottom of the order (evicted
-    // first), LRU within each class.  The hot-class offset dwarfs any
-    // timestamp, so classes never interleave.
-    const double hot_bonus =
-        isHot(engine, container.function) ? 1e18 : 0.0;
-    const double recency = static_cast<double>(
-        container.use_count == 0 ? container.created_at
-                                 : container.last_used_at);
-    container.priority = hot_bonus + recency;
-    return container.priority;
+    // first), LRU within each class.
+    return isHot(engine, function) ? 0x1p50 : 0.0;
 }
 
 void

@@ -14,6 +14,11 @@
  * first (LRU within a class), and the periodic sweep expires idle
  * containers with a rate-dependent TTL (cold functions expire much
  * sooner).  The controller is global: the sweep sees all workers.
+ *
+ * Pressure order is (class, recency, seq): the key is recency and the
+ * bonus a hot-class offset of 2^50.  Recency is an integer µs time, so
+ * below 2^50 µs (about 35 years) class·2^50 + recency is exact and
+ * classes never interleave.
  */
 
 #ifndef CIDRE_POLICIES_BASELINES_FLAME_H
@@ -51,8 +56,9 @@ class FlameKeepAlive : public RankedKeepAlive
     bool isHot(core::Engine &engine, trace::FunctionId function) const;
 
   protected:
-    double score(core::Engine &engine,
-                 cluster::Container &container) override;
+    double key(core::Engine &engine,
+               const cluster::Container &container) override;
+    double bonus(core::Engine &engine, trace::FunctionId function) override;
 
   private:
     FlameConfig config_;

@@ -68,18 +68,14 @@ IatHistory::lastArrival(trace::FunctionId function) const
 
 HybridKeepAlive::HybridKeepAlive(const HybridConfig &config,
                                  IatHistory &history)
-    : config_(config), history_(history)
+    : RankedKeepAlive(Bonus::None), config_(config), history_(history)
 {
 }
 
 double
-HybridKeepAlive::score(core::Engine &, cluster::Container &container)
+HybridKeepAlive::key(core::Engine &, const cluster::Container &container)
 {
-    // Under pressure: LRU among idle containers.
-    container.priority = static_cast<double>(
-        container.use_count == 0 ? container.created_at
-                                 : container.last_used_at);
-    return container.priority;
+    return lastUse(container);
 }
 
 void

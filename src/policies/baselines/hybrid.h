@@ -99,11 +99,9 @@ class HybridKeepAlive : public RankedKeepAlive
                         std::vector<cluster::ContainerId> &out) override;
 
   protected:
-    double score(core::Engine &engine,
-                 cluster::Container &container) override;
-
-    /** LRU-style score: frozen while a container is idle. */
-    bool scoreStableWhileIdle() const override { return true; }
+    /** Recency: LRU among idle containers under pressure. */
+    double key(core::Engine &engine,
+               const cluster::Container &container) override;
 
   private:
     HybridConfig config_;

@@ -230,7 +230,7 @@ RainbowCakeAgent::onContainerEvicted(core::Engine &engine,
 
 RainbowCakeKeepAlive::RainbowCakeKeepAlive(LayerCache &layers,
                                            const RainbowCakeConfig &config)
-    : layers_(layers), config_(config)
+    : RankedKeepAlive(Bonus::None), layers_(layers), config_(config)
 {
 }
 
@@ -267,12 +267,9 @@ RainbowCakeKeepAlive::collectExpired(core::Engine &engine, sim::SimTime now,
 }
 
 double
-RainbowCakeKeepAlive::score(core::Engine &, cluster::Container &container)
+RainbowCakeKeepAlive::key(core::Engine &, const cluster::Container &container)
 {
-    container.priority = static_cast<double>(
-        container.use_count == 0 ? container.created_at
-                                 : container.last_used_at);
-    return container.priority;
+    return lastUse(container);
 }
 
 // ------------------------------------------------------------------ assembly

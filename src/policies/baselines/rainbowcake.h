@@ -170,11 +170,9 @@ class RainbowCakeKeepAlive : public RankedKeepAlive
                         std::vector<cluster::ContainerId> &out) override;
 
   protected:
-    double score(core::Engine &engine,
-                 cluster::Container &container) override;
-
-    /** LRU-style score: frozen while a container is idle. */
-    bool scoreStableWhileIdle() const override { return true; }
+    /** Recency: LRU among whole containers. */
+    double key(core::Engine &engine,
+               const cluster::Container &container) override;
 
   private:
     LayerCache &layers_;

@@ -9,7 +9,8 @@
 namespace cidre::policies {
 
 GdsfKeepAlive::GdsfKeepAlive(bool concurrency_aware)
-    : concurrency_aware_(concurrency_aware)
+    : RankedKeepAlive(Bonus::PerFunction),
+      concurrency_aware_(concurrency_aware)
 {
 }
 
@@ -29,22 +30,26 @@ GdsfKeepAlive::onAdmit(core::Engine &engine, cluster::Container &container,
     // own monotone watermark subsumes the per-admission one.
     container.clock = watermark_;
     ++freqOf(engine, container.function);
-    score(engine, container);
+    container.priority =
+        container.clock + GdsfKeepAlive::bonus(engine, container.function);
 }
 
 void
 GdsfKeepAlive::onUse(core::Engine &engine, cluster::Container &container,
-                     core::StartType /*type*/)
+                     core::StartType type)
 {
-    container.clock = watermark_;
-    ++freqOf(engine, container.function);
-    score(engine, container);
+    RankedKeepAlive::onUse(engine, container, type);
+    // A use re-inflates the container exactly as an admission does.
+    GdsfKeepAlive::onAdmit(engine, container, watermark_);
 }
 
 void
 GdsfKeepAlive::onEvicted(core::Engine &engine,
                          const cluster::Container &container)
 {
+    // The base first: it rebuilds the priority the last scan gave the
+    // container while idle, the value a reaped container folds in.
+    RankedKeepAlive::onEvicted(engine, container);
     watermark_ = std::max(watermark_, container.priority);
     // Re-admission of a fully evicted function starts cold, as in a
     // classic cache: its frequency resets.
@@ -54,27 +59,33 @@ GdsfKeepAlive::onEvicted(core::Engine &engine,
 }
 
 double
-GdsfKeepAlive::score(core::Engine &engine, cluster::Container &container)
+GdsfKeepAlive::key(core::Engine & /*engine*/,
+                   const cluster::Container &container)
 {
-    const auto &profile = engine.workload().functions()[container.function];
-    const auto freq =
-        static_cast<double>(freqOf(engine, container.function));
+    return container.clock;
+}
+
+double
+GdsfKeepAlive::bonus(core::Engine &engine, trace::FunctionId function)
+{
+    const auto &profile = engine.workload().functions()[function];
+    const auto freq = static_cast<double>(freqOf(engine, function));
     const auto cost = static_cast<double>(profile.cold_start_us);
     const auto size = static_cast<double>(std::max<std::int64_t>(
         profile.memory_mb, 1));
     double denom = size;
     if (concurrency_aware_) {
         const auto k = std::max<std::uint32_t>(
-            engine.functionState(container.function).cachedCount(), 1);
+            engine.functionState(function).cachedCount(), 1);
         denom *= static_cast<double>(k);
     }
-    container.priority = container.clock + freq * cost / denom;
-    return container.priority;
+    return freq * cost / denom;
 }
 
 void
 GdsfKeepAlive::saveState(sim::StateWriter &writer) const
 {
+    RankedKeepAlive::saveState(writer);
     writer.put(watermark_);
     writer.putVector(freq_);
 }
@@ -82,9 +93,9 @@ GdsfKeepAlive::saveState(sim::StateWriter &writer) const
 void
 GdsfKeepAlive::loadState(sim::StateReader &reader)
 {
+    RankedKeepAlive::loadState(reader);
     watermark_ = reader.get<double>();
     freq_ = reader.getVector<std::uint64_t>();
-    invalidateRankingCaches();
 }
 
 } // namespace cidre::policies

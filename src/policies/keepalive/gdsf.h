@@ -49,13 +49,17 @@ class GdsfKeepAlive : public RankedKeepAlive
     /** Current cache-wide clock watermark (visible for tests). */
     double watermark() const { return watermark_; }
 
-    /** Checkpoint/restore: clock watermark + while-cached frequencies. */
+    /** Checkpoint/restore: the base ranking, then the clock watermark
+     *  and the while-cached frequencies. */
     void saveState(sim::StateWriter &writer) const override;
     void loadState(sim::StateReader &reader) override;
 
   protected:
-    double score(core::Engine &engine,
-                 cluster::Container &container) override;
+    /** Clock: fixed from admit or use until the next use. */
+    double key(core::Engine &engine,
+               const cluster::Container &container) override;
+    /** Freq·Cost/Size, or Freq·Cost/(Size·K) for the -C variant. */
+    double bonus(core::Engine &engine, trace::FunctionId function) override;
 
   private:
     /** Freq: invocations received by the function while it is cached. */

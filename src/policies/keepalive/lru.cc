@@ -3,14 +3,11 @@
 namespace cidre::policies {
 
 double
-LruKeepAlive::score(core::Engine &, cluster::Container &container)
+LruKeepAlive::key(core::Engine &, const cluster::Container &container)
 {
     // A never-used container ranks by creation time, so stale pre-warmed
     // containers are evicted before recently warm ones.
-    container.priority = static_cast<double>(
-        container.use_count == 0 ? container.created_at
-                                 : container.last_used_at);
-    return container.priority;
+    return lastUse(container);
 }
 
 } // namespace cidre::policies

@@ -15,14 +15,14 @@ namespace cidre::policies {
 class LruKeepAlive : public RankedKeepAlive
 {
   public:
+    LruKeepAlive() : RankedKeepAlive(Bonus::None) {}
+
     const char *name() const override { return "lru"; }
 
   protected:
-    double score(core::Engine &engine,
-                 cluster::Container &container) override;
-
-    /** created_at/last_used_at are frozen while a container is idle. */
-    bool scoreStableWhileIdle() const override { return true; }
+    /** Recency; created_at/last_used_at are frozen while idle. */
+    double key(core::Engine &engine,
+               const cluster::Container &container) override;
 };
 
 } // namespace cidre::policies

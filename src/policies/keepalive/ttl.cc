@@ -5,7 +5,7 @@
 namespace cidre::policies {
 
 TtlKeepAlive::TtlKeepAlive(sim::SimTime ttl)
-    : ttl_(ttl)
+    : RankedKeepAlive(Bonus::None), ttl_(ttl)
 {
 }
 
@@ -24,11 +24,9 @@ TtlKeepAlive::collectExpired(core::Engine &engine, sim::SimTime now,
 }
 
 double
-TtlKeepAlive::score(core::Engine &, cluster::Container &container)
+TtlKeepAlive::key(core::Engine &, const cluster::Container &container)
 {
-    // Oldest idle evicts first.
-    container.priority = static_cast<double>(container.idle_since);
-    return container.priority;
+    return static_cast<double>(container.idle_since);
 }
 
 } // namespace cidre::policies

@@ -29,11 +29,9 @@ class TtlKeepAlive : public RankedKeepAlive
                         std::vector<cluster::ContainerId> &out) override;
 
   protected:
-    double score(core::Engine &engine,
-                 cluster::Container &container) override;
-
-    /** idle_since is frozen while a container stays idle. */
-    bool scoreStableWhileIdle() const override { return true; }
+    /** idle_since: oldest idle evicts first. */
+    double key(core::Engine &engine,
+               const cluster::Container &container) override;
 
   private:
     sim::SimTime ttl_;

@@ -84,6 +84,23 @@ ReplayAdvicePlanner::planIndexRelease(std::uint64_t begin, std::uint64_t end,
                out);
 }
 
+std::uint64_t
+ReplayAdvicePlanner::indexPageOf(std::uint64_t slot) const
+{
+    return (header_.index_values_offset + slot * 8) / page_ -
+        header_.index_values_offset / page_;
+}
+
+std::uint64_t
+ReplayAdvicePlanner::firstIndexSlotOn(std::uint64_t page) const
+{
+    if (page == 0)
+        return 0;
+    const std::uint64_t start =
+        (header_.index_values_offset & ~(page_ - 1)) + page * page_;
+    return (start - header_.index_values_offset + 7) / 8;
+}
+
 namespace {
 
 std::uint64_t
@@ -112,8 +129,16 @@ ReplayWindow::ReplayWindow(const TraceImage &image, sim::SimTime window_us)
     index_offsets_ = reinterpret_cast<const std::uint64_t *>(
         base + header.index_offsets_offset);
     request_count_ = header.request_count;
-    index_released_.assign(header.function_count, 0);
-    pending_.assign(header.function_count, 0);
+    index_consumed_.assign(header.function_count, 0);
+    const std::uint64_t pages = request_count_ == 0
+        ? 0
+        : planner_.indexPageOf(request_count_ - 1) + 1;
+    index_page_live_.resize(pages);
+    for (std::uint64_t p = 0; p < pages; ++p) {
+        index_page_live_[p] = static_cast<std::uint32_t>(
+            std::min(planner_.firstIndexSlotOn(p + 1), request_count_) -
+            planner_.firstIndexSlotOn(p));
+    }
 }
 
 std::uint64_t
@@ -168,22 +193,25 @@ ReplayWindow::advanceTo(sim::SimTime now)
     // has scheduled those arrivals, the one time it reads a row.
     const std::uint64_t release_through = lowerBoundArrival(released_, now);
     if (release_through > released_) {
-        // Tally the arrival-index slots going cold, reading the function
-        // column *before* its pages are dropped (they are still
-        // resident: the replay just consumed them).
+        // Consume each released request's arrival-index slot, reading the
+        // function column *before* its pages are dropped (they are still
+        // resident: the replay just consumed them).  A page goes with
+        // its last live slot; the planner keeps pages the section shares.
+        // TraceImage::open checked that each function has one slot per
+        // row, so a slot never leaves its function's range.
         for (std::uint64_t i = released_; i < release_through; ++i) {
             const std::uint32_t fn = functions_[i];
-            if (pending_[fn]++ == 0)
-                touched_.push_back(fn);
+            const std::uint64_t slot =
+                index_offsets_[fn] + index_consumed_[fn]++;
+            const std::uint64_t page = planner_.indexPageOf(slot);
+            if (--index_page_live_[page] == 0) {
+                planner_.planIndexRelease(
+                    planner_.firstIndexSlotOn(page),
+                    std::min(planner_.firstIndexSlotOn(page + 1),
+                             request_count_),
+                    spans_);
+            }
         }
-        for (const std::uint32_t fn : touched_) {
-            const std::uint64_t begin =
-                index_offsets_[fn] + index_released_[fn];
-            planner_.planIndexRelease(begin, begin + pending_[fn], spans_);
-            index_released_[fn] += pending_[fn];
-            pending_[fn] = 0;
-        }
-        touched_.clear();
         planner_.planRelease(released_, release_through, spans_);
         released_ = release_through;
     }

@@ -16,10 +16,14 @@
  *  - MADV_WILLNEEDs the column rows of requests arriving in
  *    [now, now + w) — the pages the engine is about to fault — and
  *  - MADV_DONTNEEDs the rows of requests that arrived before now,
- *    which the engine has read for the last time, plus their slots of
- *    the per-function arrival index.  Each release reaches a page
- *    table back behind the cursor, since a fault ahead of it can
- *    re-map released pages (ReplayAdvicePlanner::kFaultAroundPages).
+ *    which the engine has read for the last time.  Each release
+ *    reaches a page table back behind the cursor, since a fault ahead
+ *    of it can re-map released pages
+ *    (ReplayAdvicePlanner::kFaultAroundPages).
+ *  - MADV_DONTNEEDs each page of the per-function arrival index once
+ *    every slot on it belongs to a request that arrived.  Functions
+ *    interleave in time, so a page shared by several functions goes
+ *    with the last of its slots.
  *
  * Peak RSS then tracks the *window's* request volume, not the trace's,
  * even under overload: a backlog holds its requests by value, not by
@@ -102,6 +106,14 @@ class ReplayAdvicePlanner
     void planIndexRelease(std::uint64_t begin, std::uint64_t end,
                           std::vector<AdviceSpan> &out) const;
 
+    /** The page of the index values section holding @p slot, counted
+     *  from the page holding slot 0. */
+    std::uint64_t indexPageOf(std::uint64_t slot) const;
+
+    /** The first slot on index page @p page or after it (pages counted
+     *  as indexPageOf does); may exceed the slot count. */
+    std::uint64_t firstIndexSlotOn(std::uint64_t page) const;
+
   private:
     void pushOutward(std::uint64_t offset, std::uint64_t length,
                      std::vector<AdviceSpan> &out) const;
@@ -158,11 +170,10 @@ class ReplayWindow
 
     std::uint64_t cursor_ = 0;
     std::uint64_t released_ = 0;
-    /** Arrival-index slots already released, per function. */
-    std::vector<std::uint64_t> index_released_;
-    /** Per-function release counts of the range in flight (scratch). */
-    std::vector<std::uint64_t> pending_;
-    std::vector<std::uint32_t> touched_;
+    /** Arrival-index slots consumed so far, per function. */
+    std::vector<std::uint64_t> index_consumed_;
+    /** Slots not yet consumed, per index page (indexPageOf). */
+    std::vector<std::uint32_t> index_page_live_;
     std::vector<AdviceSpan> spans_;
 };
 

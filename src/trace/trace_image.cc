@@ -572,19 +572,23 @@ TraceImage::open(const std::string &path, TraceOpenMode mode)
 
     // Structural invariants the engines rely on: every request names a
     // known function, arrivals are sorted (binary-searchable), and the
-    // index partitions exactly the request set.  One linear pass each —
-    // cheap next to the checksum sweep that already touched the pages.
-    // Streaming mode chunks the passes and drops the pages behind them,
-    // exactly like the checksum sweep.
+    // index partitions exactly the request set, each function's slots
+    // matching its rows (a replay consumes one slot per row).  One
+    // linear pass each — cheap next to the checksum sweep that already
+    // touched the pages.  Streaming mode chunks the passes and drops the
+    // pages behind them, exactly like the checksum sweep.
+    std::vector<std::uint64_t> rows(function_count, 0);
     {
         const std::uint64_t stride = kSweepChunkBytes / 4;
         for (std::uint64_t i = 0; i < request_count;) {
             const std::uint64_t end = std::min(request_count, i + stride);
             const std::uint64_t begin = i;
-            for (; i < end; ++i)
+            for (; i < end; ++i) {
                 if (function_col[i] >= function_count)
                     fail(path, "malformed trace image (request references "
                                "unknown function)");
+                ++rows[function_col[i]];
+            }
             if (streaming)
                 releaseRange(map, header.functions_col_offset + begin * 4,
                              header.functions_col_offset + end * 4, page);
@@ -610,10 +614,14 @@ TraceImage::open(const std::string &path, TraceOpenMode mode)
     if (index_offsets[function_count] != request_count)
         fail(path, "malformed trace image (arrival index does not cover "
                    "all requests)");
-    for (std::uint64_t i = 0; i < function_count; ++i)
+    for (std::uint64_t i = 0; i < function_count; ++i) {
         if (index_offsets[i] > index_offsets[i + 1])
             fail(path, "malformed trace image (arrival index offsets "
                        "not monotonic)");
+        if (index_offsets[i + 1] - index_offsets[i] != rows[i])
+            fail(path, "malformed trace image (arrival index does not "
+                       "match the function column)");
+    }
 
     if (streaming) {
         // Validation is done; hand residency control to the caller's

@@ -216,8 +216,10 @@ enum class TraceOpenMode : std::uint8_t
  *
  * open() maps the file read-only (mmap, then MADV_WILLNEED +
  * MADV_SEQUENTIAL to prime the page cache for the checksum sweep) and
- * validates magic, version, section bounds and the payload checksum, so
- * a view over a successfully opened image never faults on bad data.
+ * validates magic, version, section bounds, the payload checksum and
+ * the columns (known functions, sorted arrivals, and an arrival index
+ * with exactly one slot per row of each function), so a view over a
+ * successfully opened image never faults on bad data.
  * Function profiles are materialized into a small owned vector (names
  * are variable-length); the request columns and arrival index stay on
  * the mapped pages.  Views borrow from the image: keep it alive (and

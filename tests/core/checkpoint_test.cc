@@ -119,11 +119,12 @@ TEST(CheckpointFile, RejectsUnsupportedVersion)
     // integer-µs histograms, version 3 the one before pending events
     // were stored as plain records, version 4 the one before the run
     // timeline and the window change epochs were dropped, version 5
-    // the one before held requests were stored by value: an old file
-    // must fail as a version mismatch, not as a misleading payload
-    // error.
+    // the one before held requests were stored by value, version 6 the
+    // one before every ranked keep-alive policy stored its idle
+    // ranking: an old file must fail as a version mismatch, not as a
+    // misleading payload error.
     for (const std::uint32_t bogus :
-         {kCheckpointVersion + 5, 1u, 2u, 3u, 4u, 5u}) {
+         {kCheckpointVersion + 5, 1u, 2u, 3u, 4u, 5u, 6u}) {
         const SampleCheckpoint sample("badversion.ckpt");
         const std::string &path = sample.path();
         std::vector<char> bytes = readAll(path);
@@ -227,7 +228,7 @@ TEST(CheckpointBuffer, HeaderBytesArePinned)
 {
     // Fixed bytes, so that a change to the header layout fails here even
     // when the builder and the validator move together: "CIDRECKP",
-    // version 6, 40 header bytes, 1040 file bytes, the payload
+    // version 7, 40 header bytes, 1040 file bytes, the payload
     // checksum, then the fingerprint.
     const CheckpointBuffer buffer =
         makeCheckpointBuffer(kFingerprint, samplePayload());
@@ -239,7 +240,7 @@ TEST(CheckpointBuffer, HeaderBytesArePinned)
         hex += "0123456789abcdef"[byte >> 4];
         hex += "0123456789abcdef"[byte & 0xF];
     }
-    EXPECT_EQ(hex, "4349445245434b500600000028000000"
+    EXPECT_EQ(hex, "4349445245434b500700000028000000"
                    "1004000000000000abf74a4eb1e9fe98"
                    "09ef7856cdab3412");
 }

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "policies/keepalive/belady.h"
 #include "policies/keepalive/cip.h"
@@ -14,6 +17,7 @@
 #include "policies/keepalive/lru.h"
 #include "policies/keepalive/ttl.h"
 #include "policies/scaling/vanilla.h"
+#include "sim/serialize.h"
 #include "tests/core/test_helpers.h"
 
 namespace cidre::policies {
@@ -254,6 +258,72 @@ TEST(TtlKeepAlive, ExpiresAfterConfiguredLifespan)
     const RunMetrics m = engine.run();
     EXPECT_EQ(m.expirations, 1u);
     EXPECT_EQ(m.count(StartType::Cold), 2u);
+}
+
+/** One raw bucket entry as a ranked policy's checkpoint stores it. */
+struct RawIdleEntry
+{
+    double key;
+    std::uint64_t seq;
+    std::uint32_t id;
+    std::uint32_t zero_pad;
+    std::uint64_t scan_mark;
+};
+
+/** A one-worker ranking payload with the given buckets. */
+std::vector<std::byte>
+rankingPayload(const std::vector<std::vector<RawIdleEntry>> &buckets,
+               std::size_t scan_records)
+{
+    sim::StateWriter writer;
+    writer.put<std::uint64_t>(1); // scan counter
+    writer.put<std::uint64_t>(1); // workers
+    writer.put<std::uint64_t>(buckets.size());
+    for (const auto &bucket : buckets)
+        writer.putVector(bucket);
+    writer.putVector(std::vector<double>(scan_records, 0.0));
+    writer.putVector(std::vector<std::uint64_t>(scan_records, 0));
+    writer.put<std::uint64_t>(0); // epoch
+    writer.put(true);             // valid
+    return writer.release();
+}
+
+TEST(RankedKeepAlive, LoadRejectsACorruptRanking)
+{
+    trace::Trace t;
+    const auto a = addFunction(t, 100, msec(10));
+    t.addRequest(a, 0, msec(5));
+    t.seal();
+    const RawIdleEntry first{2.0, 1, 0, 0, 0};
+    const RawIdleEntry second{1.0, 2, 1, 0, 0};
+
+    const auto load = [](const std::vector<std::byte> &payload) {
+        CipKeepAlive cip;
+        sim::StateReader reader(payload);
+        cip.loadState(reader);
+    };
+    // A bucket out of (key, seq) order, scan records that do not match
+    // the buckets: rejected at load.
+    EXPECT_THROW(load(rankingPayload({{first, second}}, 1)),
+                 std::runtime_error);
+    EXPECT_THROW(load(rankingPayload({{}}, 2)), std::runtime_error);
+    EXPECT_NO_THROW(load(rankingPayload({{second, first}}, 1)));
+
+    // More buckets than the workload has functions: the payload parses,
+    // and the first scan on the engine rejects it.
+    Engine engine(t, smallConfig(),
+                  bundleOf(std::make_unique<VanillaScaling>(),
+                           std::make_unique<LruKeepAlive>()));
+    CipKeepAlive cip;
+    const std::vector<std::byte> wide = rankingPayload({{}, {}}, 2);
+    sim::StateReader reader(wide);
+    cip.loadState(reader);
+    core::ReclaimPlan plan;
+    EXPECT_THROW(cip.planReclaim(engine,
+                                 {0, 100, trace::kInvalidFunction,
+                                  cluster::kInvalidContainer},
+                                 plan),
+                 std::runtime_error);
 }
 
 } // namespace

@@ -4,7 +4,8 @@
  * the engine, windows, and policy state have grown to their high-water
  * marks, stepping the simulation — arrivals, dispatches, completions,
  * window updates, estimates, maintenance ticks — performs no heap
- * allocation, and neither does the incremental CIP reclaim ranking.
+ * allocation, and neither does the reclaim ranking (RankedKeepAlive's
+ * bucket merge, under CIP, GDSF and Belady).
  * A live run admits its requests with no allocation either: nothing of
  * a request outlives its completion.
  *
@@ -15,10 +16,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/engine.h"
-#include "policies/keepalive/cip.h"
 #include "policies/registry.h"
 #include "tests/core/test_helpers.h"
 #include "tests/sim/alloc_counter.h"
@@ -130,34 +131,42 @@ TEST(EngineAlloc, ReclaimRankingAndEstimatesAllocationFree)
     // eight containers sit idle, so the ranking sees the full cache.
     engine.stepUntil(sec(30) + msec(25));
 
-    // A fresh CIP instance never saw the engine's hook stream: its first
-    // planReclaim rebuilds from the engine idle list (and allocates its
-    // buckets); every later call must reuse that state.  The plan is
-    // only ranked, never applied, so the engine stays consistent.
-    policies::CipKeepAlive cip;
-    const ReclaimRequest demand{0, 300, 0, cluster::kInvalidContainer};
-    ReclaimPlan plan;
-    cip.planReclaim(engine, demand, plan);
-    ASSERT_GE(plan.evict.size(), 3u); // 3 × 128 MB covers 300 MB
+    // Each ranked bonus family through the one base: CIP (Eq. 3),
+    // GDSF (Eq. 1) and Belady (a next-arrival lookup per function).
+    for (const char *name : {"cidre", "faascache", "offline"}) {
+        SCOPED_TRACE(name);
+        // A fresh instance never saw the engine's hook stream: its first
+        // planReclaim rebuilds from the engine idle list (and allocates
+        // its buckets); every later call must reuse that state.  The
+        // plan is only ranked, never applied, so the engine stays
+        // consistent.
+        const std::unique_ptr<KeepAlivePolicy> keep_alive =
+            policies::makePolicy(name, config).keep_alive;
+        const ReclaimRequest demand{0, 300, 0, cluster::kInvalidContainer};
+        ReclaimPlan plan;
+        keep_alive->planReclaim(engine, demand, plan);
+        ASSERT_GE(plan.evict.size(), 3u); // 3 × 128 MB covers 300 MB
 
-    const std::uint64_t before = allocationCount();
-    std::size_t ranked = 0;
-    sim::SimTime estimates = 0;
-    for (int round = 0; round < 1000; ++round) {
-        plan.clear();
-        cip.planReclaim(engine, demand, plan);
-        ranked += plan.evict.size();
-        for (trace::FunctionId f = 0; f < workload.functionCount(); ++f) {
-            estimates += engine.estimateExecTime(f);
-            estimates += engine.estimateColdTime(f);
+        const std::uint64_t before = allocationCount();
+        std::size_t ranked = 0;
+        sim::SimTime estimates = 0;
+        for (int round = 0; round < 1000; ++round) {
+            plan.clear();
+            keep_alive->planReclaim(engine, demand, plan);
+            ranked += plan.evict.size();
+            for (trace::FunctionId f = 0; f < workload.functionCount();
+                 ++f) {
+                estimates += engine.estimateExecTime(f);
+                estimates += engine.estimateColdTime(f);
+            }
         }
-    }
-    const std::uint64_t after = allocationCount();
+        const std::uint64_t after = allocationCount();
 
-    EXPECT_EQ(after - before, 0u)
-        << "reclaim ranking and estimate queries must not allocate";
-    EXPECT_EQ(ranked, 3000u);
-    EXPECT_GT(estimates, 0);
+        EXPECT_EQ(after - before, 0u)
+            << "reclaim ranking and estimate queries must not allocate";
+        EXPECT_EQ(ranked, 3000u);
+        EXPECT_GT(estimates, 0);
+    }
 }
 
 } // namespace

@@ -227,6 +227,33 @@ TEST(ReplayAdvicePlanner, IndexReleaseStaysInsideTheValuesSection)
               header.index_values_offset + 100 * 8);
 }
 
+TEST(ReplayAdvicePlanner, IndexPagesPartitionTheSlots)
+{
+    // 24624 is 48 bytes into a 64-byte page: page 0 holds slots 0-1,
+    // every later page eight slots.  A page's slot range released whole
+    // is that page exactly, except page 0, which the offsets section
+    // shares.
+    const TraceImageHeader header = plannerHeader();
+    const ReplayAdvicePlanner planner(header, kPage);
+    EXPECT_EQ(planner.firstIndexSlotOn(0), 0u);
+    EXPECT_EQ(planner.firstIndexSlotOn(1), 2u);
+    EXPECT_EQ(planner.firstIndexSlotOn(2), 10u);
+    for (std::uint64_t slot = 0; slot < header.request_count; ++slot) {
+        const std::uint64_t page = planner.indexPageOf(slot);
+        EXPECT_LE(planner.firstIndexSlotOn(page), slot);
+        EXPECT_LT(slot, planner.firstIndexSlotOn(page + 1));
+    }
+    std::vector<AdviceSpan> spans;
+    planner.planIndexRelease(planner.firstIndexSlotOn(0),
+                             planner.firstIndexSlotOn(1), spans);
+    EXPECT_TRUE(spans.empty());
+    planner.planIndexRelease(planner.firstIndexSlotOn(3),
+                             planner.firstIndexSlotOn(4), spans);
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_EQ(spans[0].offset, 24576u + 3 * kPage);
+    EXPECT_EQ(spans[0].length, kPage);
+}
+
 // ---- ReplayWindow (cursor over a real image) ----------------------------
 
 /** Written on first use, removed when the test binary exits. */
@@ -361,6 +388,48 @@ TEST(ReplayWindow, ReleasedRowsStayUnmappedUnderBacklog)
     EXPECT_EQ(metrics.total(), n);
     EXPECT_GT(metrics.overheadHistogram().maxValue(),
               static_cast<std::uint64_t>(2 * w));
+}
+
+TEST(ReplayWindow, ReleasedIndexPagesStayUnmapped)
+{
+    // Each function's arrival-index slots are consumed in order, but the
+    // functions interleave, so a page of the values section holds slots
+    // of several functions, consumed over many windows.  Once the last
+    // slot on a page is consumed the page goes, however the functions
+    // share it.  Same cold start and backlog as the columns above.
+    core::EngineConfig config;
+    config.cluster.workers = 1;
+    config.cluster.total_memory_mb = 5 * 1024;
+    {
+        const int fd = ::open(smallImage().c_str(), O_RDONLY);
+        ASSERT_GE(fd, 0);
+        ::fdatasync(fd);
+        ::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
+        ::close(fd);
+    }
+    const TraceImage image =
+        TraceImage::open(smallImage(), TraceOpenMode::Streaming);
+    core::Engine engine(image.view(), config,
+                        policies::makePolicy("cidre", config));
+    const sim::SimTime w = sim::sec(1);
+    ReplayWindow window(image, w);
+    engine.begin();
+    window.advanceTo(0);
+    for (sim::SimTime now = w; !engine.drained(); now += w) {
+        engine.stepUntil(now);
+        window.advanceTo(now);
+    }
+    const std::uint64_t n = image.requestCount();
+    ASSERT_EQ(window.releasedRequests(), n);
+
+    const std::byte *values = image.mapData() + image.header().index_values_offset;
+    const std::int64_t mapped = mappedPages(values, values + n * 8);
+    if (mapped < 0)
+        GTEST_SKIP() << "/proc/self/pagemap is not readable";
+    // The section spans many pages, so the check has something to see.
+    ASSERT_GT(n * 8, 8 * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE)));
+    EXPECT_EQ(mapped, 0);
+    EXPECT_EQ(engine.finish().total(), n);
 }
 
 TEST(ReplayWindow, WindowedReplayIsBitIdenticalToResidentRun)

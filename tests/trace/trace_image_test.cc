@@ -414,6 +414,35 @@ TEST(TraceImage, RejectsANegativeFirstArrival)
     EXPECT_EQ(errors[1], errors[0]);
 }
 
+TEST(TraceImage, RejectsAnIndexThatDoesNotMatchTheFunctionColumn)
+{
+    // Offsets {0, 1, 3} rise and cover the three requests, but give the
+    // request-less function a slot and "resize" two slots for its three
+    // rows: a replay consuming one slot per row would run off the index.
+    const test::TempFile file("index_mismatch.ctrb");
+    writeResealedTinyImage(
+        file.path(), [](const TraceImageHeader &h, std::vector<char> &b) {
+            const std::uint64_t one = 1;
+            std::memcpy(b.data() + h.index_offsets_offset + 8, &one,
+                        sizeof one);
+        });
+    std::string errors[2];
+    const TraceOpenMode modes[2] = {TraceOpenMode::Resident,
+                                    TraceOpenMode::Streaming};
+    for (int m = 0; m < 2; ++m) {
+        try {
+            const TraceImage image = TraceImage::open(file.path(), modes[m]);
+        } catch (const std::runtime_error &e) {
+            errors[m] = e.what();
+        }
+    }
+    EXPECT_NE(errors[0].find("arrival index does not match the function "
+                             "column"),
+              std::string::npos)
+        << errors[0];
+    EXPECT_EQ(errors[1], errors[0]);
+}
+
 TEST(TraceImage, ResealedNegativeExecFailsAtTheEngineIntake)
 {
     // The reader leaves exec times to the engine's one intake check,
